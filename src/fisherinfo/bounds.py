@@ -96,11 +96,6 @@ class GaussianBoundConstants:
     variance: float
     second_moment: float
     alpha: float | None = None
-    # Optional exponents carried along when a schedule has been chosen.
-    u: float | None = None
-    w: float | None = None
-    w0: float | None = None
-    w1: float | None = None
 
     def __post_init__(self):
         if not self.snr > 0:
@@ -149,13 +144,12 @@ class GaussianBoundConstants:
         )
 
     @classmethod
-    def for_channel(cls, model: ChannelModel, **exponents) -> "GaussianBoundConstants":
+    def for_channel(cls, model: ChannelModel) -> "GaussianBoundConstants":
         return cls(
             snr=model.snr,
             variance=model.variance,
             second_moment=model.second_moment,
             alpha=model.alpha,
-            **exponents,
         )
 
 
@@ -205,66 +199,78 @@ _V_GRID = np.arange(0.05, 5.0 + 1e-12, 0.05)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _lemma2_objective(v: np.ndarray, log_base: float) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
+def _gamma(x: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(math.gamma, x.tolist()), float, x.size)
+
+
+def _lemma2_objective(v, gamma_v_half, log_base):
+    """2 Gamma(v+1/2)^(1/(1+v)) pi^(-1/(2(1+v))) e^(v/(1+v) log_base), given
+    gamma_v_half = Gamma(v+1/2)."""
     prefactor = (
         2.0
-        * np.vectorize(math.gamma)(v + 0.5) ** (1.0 / (1.0 + v))
+        * gamma_v_half ** (1.0 / (1.0 + v))
         / math.pi ** (1.0 / (2.0 * (1.0 + v)))
     )
     return prefactor * np.exp(v / (1.0 + v) * log_base)
 
 
-def _minimize_over_v(log_base: float, v_grid: np.ndarray) -> float:
-    vals = _lemma2_objective(v_grid, log_base)
-    i = int(np.argmin(vals))
-    lo = v_grid[max(i - 1, 0)]
-    hi = v_grid[min(i + 1, v_grid.size - 1)]
-    # Golden-section refinement; the objective is smooth and unimodal in
-    # practice on this bracket.
-    a, b = float(lo), float(hi)
+def _minimize_over_v(log_base: np.ndarray, v_grid: np.ndarray) -> np.ndarray:
+    """Minimum over v of the Lemma 2 objective, per entry of log_base.
+
+    A scan of v_grid brackets each minimum; a golden-section refinement
+    then runs on all brackets at once, each entry taking its own branch.
+    """
+    vals = _lemma2_objective(v_grid, _gamma(v_grid + 0.5), log_base[:, None])
+    i = np.argmin(vals, axis=1)
+    a = v_grid[np.maximum(i - 1, 0)]
+    b = v_grid[np.minimum(i + 1, v_grid.size - 1)]
+
+    def objective(v):
+        return _lemma2_objective(v, _gamma(v + 0.5), log_base)
+
+    # The objective is smooth and unimodal in practice on each bracket.
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
-    f1 = float(_lemma2_objective(x1, log_base))
-    f2 = float(_lemma2_objective(x2, log_base))
+    f1, f2 = objective(x1), objective(x2)
     for _ in range(60):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = float(_lemma2_objective(x1, log_base))
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = float(_lemma2_objective(x2, log_base))
-    return min(f1, f2, float(vals[i]))
+        left = f1 <= f2
+        b = np.where(left, x2, b)
+        a = np.where(left, a, x1)
+        x_new = np.where(left, b - _GOLDEN * (b - a), a + _GOLDEN * (b - a))
+        f_new = objective(x_new)
+        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    return np.minimum(np.minimum(f1, f2), vals[np.arange(i.size), i])
 
 
 def lemma2_tail(
-    k_n: float,
+    k_n,
     snr: float,
     second_moment: float,
     alpha: float | None = None,
     v_search_grid: np.ndarray | None = None,
-) -> float:
+):
     """Upper bound on the Fisher-information mass outside [-k_n, k_n].
 
     Minimizes over the Holder exponent v > 0. Always evaluates the
     second-moment branch; when a sub-Gaussian proxy alpha is given, also
     evaluates the Chernoff branch and returns the smaller. The result may
     exceed 1 and is returned as-is.
+
+    Accepts scalar or array k_n.
     """
-    if not k_n > 0:
+    k = np.asarray(k_n, dtype=float)
+    if not np.all(k > 0):
         raise ValueError("k_n must be positive")
     grid = _V_GRID if v_search_grid is None else np.asarray(v_search_grid, float)
-    best = _minimize_over_v(
-        math.log((snr * second_moment + 1.0) / k_n**2), grid
-    )
+    k_sq = k.ravel() ** 2
+    log_base = np.log((snr * second_moment + 1.0) / k_sq)
     if alpha is not None:
-        sub_g = _minimize_over_v(
-            math.log(2.0) + (alpha**2 * snr - k_n**2) / 2.0, grid
-        )
-        best = min(best, sub_g)
-    return best
+        sub_g = math.log(2.0) + (alpha**2 * snr - k_sq) / 2.0
+        log_base = np.concatenate([log_base, sub_g])
+    # One row per branch; the bound is the smaller of the two.
+    out = _minimize_over_v(log_base, grid).reshape(-1, *k.shape).min(axis=0)
+    return float(out) if out.ndim == 0 else out
 
 
 def gaussian_tail_model(
@@ -617,23 +623,21 @@ class ComplexitySearchSpec:
             object.__setattr__(self, "k_grid", np.linspace(0.8, 8.0, 60))
 
 
-def _optimal_bandwidths(e0: np.ndarray, e1: np.ndarray):
-    """Bandwidths maximizing the concentration exponents a^(2r+2)(e - d a)^2
-    for a given sup-norm budget: a0 = e0/(2 d0), a1 = 2 e1/(3 d1)."""
-    d0 = GAUSSIAN_KERNEL.bias_slope_0
-    d1 = GAUSSIAN_KERNEL.bias_slope_1
-    return e0 / (2.0 * d0), 2.0 * e1 / (3.0 * d1)
-
-
 def _concentration_rates(e0, e1):
-    """Per-sample exponential rates A_r of the two sup-norm tail bounds,
-    at the optimal bandwidths."""
+    """Per-sample exponential rates A_r of the two sup-norm tail bounds, at
+    the bandwidths maximizing the exponents a^(2r+2)(e - d a)^2 for the
+    sup-norm budget: a0 = e0/(2 d0), a1 = 2 e1/(3 d1)."""
     d0 = GAUSSIAN_KERNEL.bias_slope_0
     d1 = GAUSSIAN_KERNEL.bias_slope_1
-    a0, a1 = _optimal_bandwidths(e0, e1)
+    a0, a1 = e0 / (2.0 * d0), 2.0 * e1 / (3.0 * d1)
     rate0 = 2.0 * a0**2 * (e0 - a0 * d0) ** 2 / GAUSSIAN_KERNEL.v0**2
     rate1 = 2.0 * a1**4 * (e1 - a1 * d1) ** 2 / GAUSSIAN_KERNEL.v1**2
     return a0, a1, rate0, rate1
+
+
+#: Relative slack when pruning by bracket: far above the rounding error of
+#: the bracket ends and of the bisection, so no possible tie is pruned.
+_BRACKET_MARGIN = 1e-9
 
 
 def _vector_bisect_log10n(rate0, rate1, target_perr, lo, hi, iters):
@@ -672,20 +676,22 @@ def _complexity_pass(
     directly. Returns (best tuple or None, smallest precision seen).
     """
     snr, var, ex2 = channel.snr, channel.variance, channel.second_moment
-    best = None
+    c_grid = lemma2_tail(k_grid, snr, ex2, channel.alpha)
+    b0g, e1g = np.meshgrid(b0_grid, e1_grid, indexing="ij")
+    log_2_p, log_4_p = math.log(2.0 / target_perr), math.log(4.0 / target_perr)
     best_prec = np.inf
-    for k in k_grid:
-        c_k = lemma2_tail(float(k), snr, ex2, channel.alpha)
+    best_upper = spec.log10_n_max
+    survivors = []
+    for k, c_k in zip(k_grid, c_grid):
         if estimator is EstimatorKind.BHATTACHARYA:
             phi_k = float(env.phi(k))
             rho_m = env.rho_max(k)
-            x0g, e1g = np.meshgrid(b0_grid, e1_grid, indexing="ij")
-            e0g = x0g / phi_k
+            e0g = b0g / phi_k
             prec = (
                 4.0 * e1g * k * rho_m
                 + 2.0 * e1g**2 * k * phi_k
-                + x0g * env.fisher_upper
-            ) / (1.0 - x0g) + c_k
+                + b0g * env.fisher_upper
+            ) / (1.0 - b0g) + c_k
         else:
             c3 = math.sqrt(3.0 * snr * var)
             phi1_max = 2.0 * c3 * k + 3.0 * k**2
@@ -694,7 +700,7 @@ def _complexity_pass(
                 score_phi1, score_phi2 = phi1_max, phi2_max
             else:
                 score_phi1, score_phi2 = channel_score_integrals(channel, k)
-            e0g, e1g = np.meshgrid(b0_grid, e1_grid, indexing="ij")
+            e0g = b0g
             prec = np.maximum(
                 4.0 * e1g * score_phi1 + 2.0 * e0g * score_phi2 + c_k,
                 3.0 * e1g * phi1_max + e0g * phi2_max,
@@ -703,25 +709,27 @@ def _complexity_pass(
         mask = prec <= target_eps
         if not mask.any():
             continue
-        b0m, e1m = np.meshgrid(b0_grid, e1_grid, indexing="ij")
-        b0m, e1m = b0m[mask], e1m[mask]
-        e0m = e0g[mask]
+        e0m, e1m = e0g[mask], e1g[mask]
         a0m, a1m, r0, r1 = _concentration_rates(e0m, e1m)
-        log10n = _vector_bisect_log10n(
-            r0, r1, target_perr, 1.0, spec.log10_n_max, spec.bisect_iters
-        )
-        i = int(np.argmin(log10n))
-        if np.isfinite(log10n[i]) and (best is None or log10n[i] < best[0]):
-            best = (
-                float(log10n[i]),
-                float(k),
-                float(b0m[i]),
-                float(e0m[i]),
-                float(e1m[i]),
-                float(a0m[i]),
-                float(a1m[i]),
-            )
-    return best, best_prec
+        # Bracket of the bisection's answer; see sample_complexity.
+        rate = np.minimum(r0, r1)
+        with np.errstate(divide="ignore"):
+            lower = np.clip(np.log10(log_2_p / rate), 1.0, spec.log10_n_max)
+            upper = np.clip(np.log10(log_4_p / rate), 1.0, spec.log10_n_max)
+        best_upper = min(best_upper, float(upper.min()))
+        win = lower <= best_upper * (1.0 + _BRACKET_MARGIN)
+        point = (np.full(e0m.size, k), b0g[mask], e0m, e1m, a0m, a1m, r0, r1)
+        survivors.append([column[win] for column in point])
+    if not survivors:
+        return None, best_prec
+    *point, r0, r1 = (np.concatenate(column) for column in zip(*survivors))
+    log10n = _vector_bisect_log10n(
+        r0, r1, target_perr, 1.0, spec.log10_n_max, spec.bisect_iters
+    )
+    i = int(np.argmin(log10n))
+    if not np.isfinite(log10n[i]):
+        return None, best_prec
+    return tuple(float(column[i]) for column in (log10n, *point)), best_prec
 
 
 def sample_complexity(
@@ -737,10 +745,14 @@ def sample_complexity(
     bisection on log10 n.
 
     The precision term is n-free, so each grid point is first screened
-    against target_eps and only the surviving points enter the confidence
-    bisection. A global grid pass is followed by zoom refinement passes
-    around the incumbent optimum. Deterministic for a fixed search spec;
-    ties are broken by grid order.
+    against target_eps. The confidence 2 e^(-A0 n) + 2 e^(-A1 n) lies
+    between 2 e^(-m n) and 4 e^(-m n) with m = min(A0, A1), so the n that
+    brings it down to target_perr lies in [ln(2/p)/m, ln(4/p)/m]. A point
+    whose lower end (in log10 n, clamped to the bisection range) exceeds
+    another point's upper end cannot win, and only the remaining points
+    enter the confidence bisection. A global grid pass is followed by zoom
+    refinement passes around the incumbent optimum. Deterministic for a
+    fixed search spec; ties are broken by grid order (k, eps0, eps1).
     """
     if not (0.0 < target_eps <= 1.0):
         raise ValueError("target_eps must lie in (0, 1]")

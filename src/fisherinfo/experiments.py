@@ -495,27 +495,13 @@ def run_complexity(config: ExperimentConfig) -> ExperimentReport:
         except InfeasibleTargetError:
             return math.inf
 
-    rows = []
-    for eps in config.eps_grid:
-        rows.append(
-            [
-                0.0,
-                eps,
-                config.perr_fixed,
-                cell(eps, config.perr_fixed, EstimatorKind.BHATTACHARYA),
-                cell(eps, config.perr_fixed, EstimatorKind.CLIPPED),
-            ]
-        )
-    for perr in config.perr_grid:
-        rows.append(
-            [
-                1.0,
-                config.eps_fixed,
-                perr,
-                cell(config.eps_fixed, perr, EstimatorKind.BHATTACHARYA),
-                cell(config.eps_fixed, perr, EstimatorKind.CLIPPED),
-            ]
-        )
+    cells = [(0.0, eps, config.perr_fixed) for eps in config.eps_grid]
+    cells += [(1.0, config.eps_fixed, perr) for perr in config.perr_grid]
+    kinds = (EstimatorKind.BHATTACHARYA, EstimatorKind.CLIPPED)
+    # (eps_fixed, perr_fixed) can lie on both sweeps: solve each pair once.
+    pairs = dict.fromkeys(c[1:] for c in cells)
+    solved = {pair: [cell(*pair, kind) for kind in kinds] for pair in pairs}
+    rows = [[*c, *solved[c[1:]]] for c in cells]
     columns = (
         "sweep",  # 0 = precision sweep, 1 = failure-probability sweep
         "eps",

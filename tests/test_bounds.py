@@ -23,6 +23,7 @@ from fisherinfo.bounds import (
     ErrorBudget,
     GaussianBoundConstants,
     ZeroCount,
+    _vector_bisect_log10n,
     bhattacharya_error_bound,
     bhattacharya_precision,
     channel_score_integrals,
@@ -53,6 +54,47 @@ def unit_tail():
 def unit_constants():
     return GaussianBoundConstants(snr=1.0, variance=1.0, second_moment=1.0,
                                   alpha=1.0)
+
+
+def _scalar_lemma2_tail(k_n, snr, second_moment, alpha=None):
+    """One-k-at-a-time golden-section search for the Lemma 2 tail: the
+    reference the array form of lemma2_tail is held to."""
+    v_grid = np.arange(0.05, 5.0 + 1e-12, 0.05)
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def objective(v, log_base):
+        v = np.asarray(v, dtype=float)
+        prefactor = (
+            2.0
+            * np.vectorize(math.gamma)(v + 0.5) ** (1.0 / (1.0 + v))
+            / math.pi ** (1.0 / (2.0 * (1.0 + v)))
+        )
+        return prefactor * np.exp(v / (1.0 + v) * log_base)
+
+    def minimize(log_base):
+        vals = objective(v_grid, log_base)
+        i = int(np.argmin(vals))
+        a = float(v_grid[max(i - 1, 0)])
+        b = float(v_grid[min(i + 1, v_grid.size - 1)])
+        x1 = b - golden * (b - a)
+        x2 = a + golden * (b - a)
+        f1 = float(objective(x1, log_base))
+        f2 = float(objective(x2, log_base))
+        for _ in range(60):
+            if f1 <= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - golden * (b - a)
+                f1 = float(objective(x1, log_base))
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + golden * (b - a)
+                f2 = float(objective(x2, log_base))
+        return min(f1, f2, float(vals[i]))
+
+    best = minimize(math.log((snr * second_moment + 1.0) / k_n**2))
+    if alpha is not None:
+        best = min(best, minimize(math.log(2.0) + (alpha**2 * snr - k_n**2) / 2.0))
+    return best
 
 
 class TestErrorBudget:
@@ -166,6 +208,24 @@ class TestTruncationTail:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             lemma2_tail(0.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("alpha", [None, 1.0])
+    def test_array_matches_scalar_oracle(self, alpha):
+        k = np.linspace(0.5, 16.0, 63)
+        got = lemma2_tail(k, 1.0, 1.0, alpha)
+        want = [_scalar_lemma2_tail(float(x), 1.0, 1.0, alpha) for x in k]
+        assert got.shape == k.shape
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_scalar_in_float_out(self):
+        assert type(lemma2_tail(3.0, 1.0, 1.0)) is float
+        assert type(lemma2_tail(np.float64(3.0), 1.0, 1.0, 1.0)) is float
+        assert lemma2_tail(np.full((2, 3), 3.0), 1.0, 1.0).shape == (2, 3)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_invalid_k_in_array(self, bad):
+        with pytest.raises(ValueError, match="positive"):
+            lemma2_tail(np.array([1.0, bad, 3.0]), 1.0, 1.0)
 
     @pytest.mark.parametrize("snr", [1.0, 5.0])
     @pytest.mark.parametrize("factory", [gaussian_channel, binary_channel])
@@ -525,3 +585,55 @@ class TestSampleComplexity:
         )
         res = sample_complexity(0.5, 0.2, EstimatorKind.CLIPPED, model, tiny)
         assert 2.0 <= res.k_n <= 4.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rate0=st.floats(1e-30, 1.0),
+        rate1=st.floats(1e-30, 1.0),
+        perr=st.floats(1e-6, 0.99, exclude_min=True, exclude_max=True),
+    )
+    def test_bisection_lies_in_pruning_bracket(self, rate0, rate1, perr):
+        # The search prunes points by this bracket:
+        # 2 e^(-m n) <= 2 e^(-A0 n) + 2 e^(-A1 n) <= 4 e^(-m n), m = min(A0, A1).
+        lo, hi, iters = 1.0, 40.0, 60
+        got = _vector_bisect_log10n(
+            np.array([rate0]), np.array([rate1]), perr, lo, hi, iters
+        )[0]
+        m = min(rate0, rate1)
+        lower = min(max(math.log10(math.log(2.0 / perr) / m), lo), hi)
+        upper = min(max(math.log10(math.log(4.0 / perr) / m), lo), hi)
+        # (hi - lo) / 2^iters is below rounding; allow for rounding of the ends.
+        tol = 1e-12
+        assert lower - tol <= got <= upper + tol
+
+    # log10 n per (eps, p_err) cell of the 9+9-cell table on
+    # gaussian_channel(1.0), recorded from the one-k-at-a-time search with a
+    # bisection of every feasible grid point: (eps, p_err, plug-in, clipped).
+    # The (0.5, 0.2) cell lies on both sweeps and is listed once.
+    RECORDED_TABLE = [
+        (0.1, 0.2, 30.02966632752025, 20.02408020632855),
+        (0.2, 0.2, 25.969161221337593, 17.80677190169347),
+        (0.3, 0.2, 23.621263659856865, 16.530804968388605),
+        (0.4, 0.2, 21.99653118773541, 15.528760427080002),
+        (0.5, 0.2, 20.748804186405266, 14.76701943590257),
+        (0.6, 0.2, 19.727595838721005, 14.109824419866952),
+        (0.7, 0.2, 18.869504638937237, 13.621894811061258),
+        (0.8, 0.2, 18.11860780079167, 13.009366279326098),
+        (0.9, 0.2, 17.457958410371052, 12.530906950614778),
+        (0.5, 0.1, 20.835875854219935, 14.88062691266283),
+        (0.5, 0.3, 20.685536777060126, 14.684581611006756),
+        (0.5, 0.4, 20.63433055113194, 14.69682495622866),
+        (0.5, 0.5, 20.59000156189417, 14.6320062170141),
+        (0.5, 0.6, 20.55010060096525, 14.570767724273495),
+        (0.5, 0.7, 20.51325407100849, 14.511268636814007),
+        (0.5, 0.8, 20.478602635146686, 14.45219577964269),
+        (0.5, 0.9, 20.439582570803726, 14.392482520699183),
+    ]
+
+    def test_table_matches_recorded_values(self):
+        model = gaussian_channel(1.0)
+        for eps, perr, plug, clip in self.RECORDED_TABLE:
+            for kind, want in ((EstimatorKind.BHATTACHARYA, plug),
+                               (EstimatorKind.CLIPPED, clip)):
+                got = sample_complexity(eps, perr, kind, model).log10_n
+                assert got == pytest.approx(want, rel=1e-12), (eps, perr, kind)

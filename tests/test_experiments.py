@@ -203,6 +203,27 @@ class TestComplexity:
         assert np.all(rows[:, 4] < rows[:, 3])  # clipped needs fewer samples
         assert report.summary["infeasible_cells"] == 0
 
+    def test_shared_cell_solved_once(self, monkeypatch):
+        import fisherinfo.experiments as experiments
+
+        calls = []
+        solve = experiments.sample_complexity
+
+        def counted(eps, perr, kind, channel):
+            calls.append((eps, perr, kind))
+            return solve(eps, perr, kind, channel)
+
+        monkeypatch.setattr(experiments, "sample_complexity", counted)
+        # (eps_fixed, perr_fixed) = (0.5, 0.2) lies on both sweeps.
+        config = _config(
+            kind=ExperimentKind.COMPLEXITY,
+            eps_grid=(0.4, 0.5), perr_grid=(0.2, 0.3),
+        )
+        rows = run_complexity(config).series.rows
+        assert len(calls) == len(set(calls)) == 6
+        np.testing.assert_array_equal(rows[1], [0.0, 0.5, 0.2, *rows[2, 3:]])
+        np.testing.assert_array_equal(rows[2, :3], [1.0, 0.5, 0.2])
+
     def test_infeasible_cells_marked_not_fatal(self):
         config = _config(
             kind=ExperimentKind.COMPLEXITY, eps_grid=(1e-12,), perr_grid=(),
