@@ -5,7 +5,6 @@ observed through additive Gaussian noise."""
 from .bounds import (
     ComplexityResult,
     ComplexitySearchSpec,
-    ErrorBudget,
     GaussianBoundConstants,
     TailModel,
     ZeroCount,
@@ -16,7 +15,6 @@ from .bounds import (
     confidence_bound,
     count_derivative_zeros,
     gaussian_tail_model,
-    lemma1_constants,
     lemma2_tail,
     modified_error_bound,
     sample_complexity,

@@ -7,7 +7,7 @@ Gaussian-noise data:
 * deterministic error bounds given sup-norm estimation errors (eps0, eps1)
   on the density and its derivative over [-k_n, k_n];
 * the Gaussian-channel constants (inverse-density envelope phi, score
-  envelope rho_max, kernel bias slopes, tail mass c(k_n));
+  envelope rho_max and its integrals, tail mass c(k_n));
 * precision/confidence schedules for the specific bandwidth and
   truncation growth rates a = n^-w, k_n = sqrt(u log n) (plug-in) and
   a_r = n^-w_r, k_n = n^u (clipped);
@@ -37,39 +37,20 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
-class ErrorBudget:
-    """Sup-norm errors on f and f', target precision, and failure probability."""
-
-    eps0: float
-    eps1: float
-    eps_n: float
-    p_err: float
-
-    def __post_init__(self):
-        for name in ("eps0", "eps1", "eps_n", "p_err"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        if not self.p_err < 1:
-            raise ValueError("p_err must be < 1")
-
-
-@dataclass(frozen=True)
 class TailModel:
     """Envelopes and tail functionals of the (unknown) sampled density.
 
-    phi bounds 1/f on [-x, x]; rho_bar bounds |f'/f| pointwise; rho_max(k)
-    bounds sup_{|t|<=k} |f'/f|; c_tail(k) bounds the Fisher-information
-    mass outside [-k, k].
+    phi(x) bounds 1/f on [-x, x]; rho_max(k) bounds sup_{|t|<=k} |f'/f|;
+    rho_bar_integrals(k) is (int |rho_bar|, int rho_bar^2) over [-k, k] for
+    a pointwise score envelope rho_bar; c_tail(k) bounds the
+    Fisher-information mass outside [-k, k]; f0 bounds sup f.
     """
 
     phi: Callable[[float], float]
-    rho_bar: Callable[[np.ndarray], np.ndarray]
     rho_max: Callable[[float], float]
+    rho_bar_integrals: Callable[[float], tuple[float, float]]
     c_tail: Callable[[float], float]
     f0: float | None = None
-    alpha: float | None = None
-    second_moment: float | None = None
-    variance: float | None = None
 
 
 @dataclass(frozen=True)
@@ -143,56 +124,9 @@ class GaussianBoundConstants:
             / math.pi**0.25
         )
 
-    @classmethod
-    def for_channel(cls, model: ChannelModel) -> "GaussianBoundConstants":
-        return cls(
-            snr=model.snr,
-            variance=model.variance,
-            second_moment=model.second_moment,
-            alpha=model.alpha,
-        )
-
 
 # ---------------------------------------------------------------------------
 # Gaussian-channel envelopes
-
-
-@dataclass(frozen=True)
-class GaussianChannelEnvelopes:
-    """Kernel bias slopes, kernel total variations, and the density/score
-    envelopes valid for any finite-variance input in Gaussian noise."""
-
-    delta_slope_0: float
-    delta_slope_1: float
-    v0: float
-    v1: float
-    rho_max: Callable[[float], float]
-    phi: Callable[[float], float]
-    fisher_upper: float
-
-
-def lemma1_constants(
-    snr: float, variance: float, second_moment: float
-) -> GaussianChannelEnvelopes:
-    """Envelopes for a Gaussian-kernel estimate of a Gaussian-noise density.
-
-    rho_max(k) = sqrt(3*snr*Var(X)) + 3k, phi(t) = sqrt(2*pi) *
-    exp(t^2 + snr*E[X^2]); the Fisher information of the output never
-    exceeds 1 (the pure-noise value).
-    """
-    if snr < 0 or variance < 0 or second_moment < variance:
-        raise ValueError("need snr >= 0 and second_moment >= variance >= 0")
-    c = math.sqrt(3.0 * snr * variance)
-    shift = snr * second_moment
-    return GaussianChannelEnvelopes(
-        delta_slope_0=GAUSSIAN_KERNEL.bias_slope_0,
-        delta_slope_1=GAUSSIAN_KERNEL.bias_slope_1,
-        v0=GAUSSIAN_KERNEL.v0,
-        v1=GAUSSIAN_KERNEL.v1,
-        rho_max=lambda k: c + 3.0 * k,
-        phi=lambda t: _SQRT_2PI * np.exp(np.asarray(t) ** 2 + shift),
-        fisher_upper=1.0,
-    )
 
 
 _V_GRID = np.arange(0.05, 5.0 + 1e-12, 0.05)
@@ -280,17 +214,26 @@ def gaussian_tail_model(
     alpha: float | None = None,
     f0: float | None = None,
 ) -> TailModel:
-    """TailModel for an arbitrary input in standard Gaussian noise."""
-    env = lemma1_constants(snr, variance, second_moment)
+    """TailModel for an arbitrary input in standard Gaussian noise.
+
+    Lemma 1: phi(t) = sqrt(2 pi) exp(t^2 + snr E[X^2]) and the score
+    envelope rho_bar(t) = c + 3|t|, c = sqrt(3 snr Var(X)), whose maximum
+    on [-k, k] is c + 3k and whose integrals over [-k, k] are exact
+    polynomials in k. c_tail is the Lemma 2 bound.
+    """
+    if snr < 0 or variance < 0 or second_moment < variance:
+        raise ValueError("need snr >= 0 and second_moment >= variance >= 0")
+    c = math.sqrt(3.0 * snr * variance)
+    shift = snr * second_moment
     return TailModel(
-        phi=env.phi,
-        rho_bar=lambda t: env.rho_max(0.0) + 3.0 * np.abs(t),
-        rho_max=env.rho_max,
+        phi=lambda t: _SQRT_2PI * np.exp(np.asarray(t) ** 2 + shift),
+        rho_max=lambda k: c + 3.0 * k,
+        rho_bar_integrals=lambda k: (
+            2.0 * c * k + 3.0 * k**2,
+            2.0 * c**2 * k + 6.0 * c * k**2 + 6.0 * k**3,
+        ),
         c_tail=lambda k: lemma2_tail(k, snr, second_moment, alpha),
         f0=f0,
-        alpha=alpha,
-        second_moment=second_moment,
-        variance=variance,
     )
 
 
@@ -320,28 +263,31 @@ def _check_phi_hypothesis(eps0: float, k_n: float, tail: TailModel) -> float:
     return phi_k
 
 
+def _plugin_error(x0, eps1, k, phi_k, rho_m):
+    """Theorem 2 without c(k), in terms of x0 = eps0 * phi(k) < 1. I_max = 1:
+    the Fisher information of Gaussian-noise data never exceeds the
+    pure-noise value."""
+    return (4.0 * eps1 * k * rho_m + 2.0 * eps1**2 * k * phi_k + x0) / (1.0 - x0)
+
+
 def bhattacharya_error_bound(
     eps0: float,
     eps1: float,
     k_n: float,
     tail: TailModel,
-    fisher_upper: float = 1.0,
 ) -> float:
     """Deterministic error bound for the plug-in estimator.
 
     (4 eps1 k rho_max + 2 eps1^2 k phi + eps0 phi I_max) / (1 - eps0 phi)
-    + c(k), valid when eps0 * phi(k) < 1.
+    + c(k) with I_max = 1, valid when eps0 * phi(k) < 1.
     """
     if eps0 < 0 or eps1 < 0:
         raise ValueError("eps0 and eps1 must be nonnegative")
     phi_k = _check_phi_hypothesis(eps0, k_n, tail)
     rho_m = float(tail.rho_max(k_n))
-    numer = (
-        4.0 * eps1 * k_n * rho_m
-        + 2.0 * eps1**2 * k_n * phi_k
-        + eps0 * phi_k * fisher_upper
+    return _plugin_error(eps0 * phi_k, eps1, k_n, phi_k, rho_m) + float(
+        tail.c_tail(k_n)
     )
-    return numer / (1.0 - eps0 * phi_k) + float(tail.c_tail(k_n))
 
 
 def log_envelope_psi(eps0: float, k_n: float, tail: TailModel) -> float:
@@ -380,18 +326,24 @@ def modified_error_bound(
     return lead * psi + float(tail.c_tail(k_n))
 
 
-def envelope_integrals(
-    rho_bar, k_n: float, grid_points: int = 2001
-) -> tuple[float, float]:
-    """(integral of |rho_bar|, integral of rho_bar^2) over [-k_n, k_n]."""
-    def check(t):
-        out = np.abs(np.asarray(rho_bar(t), dtype=float))
-        if not np.all(np.isfinite(out)):
-            raise ValueError("score envelope must be finite on [-k_n, k_n]")
-        return out
+def _clipped_summed(eps0, eps1, phi1, phi2, c_k):
+    """Theorem 4, summed form: 4 eps1 Phi1 + 2 eps0 Phi2 + c(k)."""
+    return 4.0 * eps1 * phi1 + 2.0 * eps0 * phi2 + c_k
 
-    phi1 = integrate(lambda t: check(t), -k_n, k_n, grid_points)
-    phi2 = integrate(lambda t: check(t) ** 2, -k_n, k_n, grid_points)
+
+def _clipped_two_sided(eps0, eps1, phi1_max, phi2_max, score_phi1, score_phi2, c_k):
+    """Theorem 4, max form: the summed form on the true-score integrals,
+    or 3 eps1 Phi1_max + eps0 Phi2_max on the envelope integrals."""
+    return np.maximum(
+        _clipped_summed(eps0, eps1, score_phi1, score_phi2, c_k),
+        3.0 * eps1 * phi1_max + eps0 * phi2_max,
+    )
+
+
+def _finite_rho_bar_integrals(tail: TailModel, k_n: float) -> tuple[float, float]:
+    phi1, phi2 = tail.rho_bar_integrals(k_n)
+    if not (math.isfinite(phi1) and math.isfinite(phi2)):
+        raise ValueError("score envelope integrals must be finite on [-k_n, k_n]")
     return phi1, phi2
 
 
@@ -400,14 +352,13 @@ def clipped_error_bound(
     eps1: float,
     k_n: float,
     tail: TailModel,
-    grid_points: int = 2001,
 ) -> float:
     """4 eps1 int|rho_bar| + 2 eps0 int rho_bar^2 + c(k): the summed-form
     error bound for the clipped estimator."""
     if eps0 < 0 or eps1 < 0:
         raise ValueError("eps0 and eps1 must be nonnegative")
-    phi1, phi2 = envelope_integrals(tail.rho_bar, k_n, grid_points)
-    return 4.0 * eps1 * phi1 + 2.0 * eps0 * phi2 + float(tail.c_tail(k_n))
+    phi1, phi2 = _finite_rho_bar_integrals(tail, k_n)
+    return _clipped_summed(eps0, eps1, phi1, phi2, float(tail.c_tail(k_n)))
 
 
 def clipped_error_bound_two_sided(
@@ -417,7 +368,6 @@ def clipped_error_bound_two_sided(
     tail: TailModel,
     score_phi1: float,
     score_phi2: float,
-    grid_points: int = 2001,
 ) -> float:
     """Max-form clipped error bound, sharper when the integrals of the true
     score (|rho| and rho^2 over [-k_n, k_n]) are available:
@@ -427,12 +377,13 @@ def clipped_error_bound_two_sided(
     """
     if eps0 < 0 or eps1 < 0:
         raise ValueError("eps0 and eps1 must be nonnegative")
-    phi1_max, phi2_max = envelope_integrals(tail.rho_bar, k_n, grid_points)
-    under = 4.0 * eps1 * score_phi1 + 2.0 * eps0 * score_phi2 + float(
-        tail.c_tail(k_n)
+    phi1_max, phi2_max = _finite_rho_bar_integrals(tail, k_n)
+    return float(
+        _clipped_two_sided(
+            eps0, eps1, phi1_max, phi2_max, score_phi1, score_phi2,
+            float(tail.c_tail(k_n)),
+        )
     )
-    over = 3.0 * eps1 * phi1_max + eps0 * phi2_max
-    return max(under, over)
 
 
 def channel_score_integrals(
@@ -661,7 +612,7 @@ def _vector_bisect_log10n(rate0, rate1, target_perr, lo, hi, iters):
 def _complexity_pass(
     estimator: EstimatorKind,
     channel: ChannelModel,
-    env: GaussianChannelEnvelopes,
+    tail: TailModel,
     k_grid: np.ndarray,
     b0_grid: np.ndarray,
     e1_grid: np.ndarray,
@@ -675,8 +626,7 @@ def _complexity_pass(
     x0 = eps0 * phi(k) in (0, 1); for the clipped estimator b0 is eps0
     directly. Returns (best tuple or None, smallest precision seen).
     """
-    snr, var, ex2 = channel.snr, channel.variance, channel.second_moment
-    c_grid = lemma2_tail(k_grid, snr, ex2, channel.alpha)
+    c_grid = tail.c_tail(k_grid)
     b0g, e1g = np.meshgrid(b0_grid, e1_grid, indexing="ij")
     log_2_p, log_4_p = math.log(2.0 / target_perr), math.log(4.0 / target_perr)
     best_prec = np.inf
@@ -684,26 +634,18 @@ def _complexity_pass(
     survivors = []
     for k, c_k in zip(k_grid, c_grid):
         if estimator is EstimatorKind.BHATTACHARYA:
-            phi_k = float(env.phi(k))
-            rho_m = env.rho_max(k)
+            phi_k = float(tail.phi(k))
             e0g = b0g / phi_k
-            prec = (
-                4.0 * e1g * k * rho_m
-                + 2.0 * e1g**2 * k * phi_k
-                + b0g * env.fisher_upper
-            ) / (1.0 - b0g) + c_k
+            prec = _plugin_error(b0g, e1g, k, phi_k, tail.rho_max(k)) + c_k
         else:
-            c3 = math.sqrt(3.0 * snr * var)
-            phi1_max = 2.0 * c3 * k + 3.0 * k**2
-            phi2_max = 2.0 * c3**2 * k + 6.0 * c3 * k**2 + 6.0 * k**3
+            phi1_max, phi2_max = tail.rho_bar_integrals(k)
             if channel.input is InputLaw.CUSTOM:
                 score_phi1, score_phi2 = phi1_max, phi2_max
             else:
                 score_phi1, score_phi2 = channel_score_integrals(channel, k)
             e0g = b0g
-            prec = np.maximum(
-                4.0 * e1g * score_phi1 + 2.0 * e0g * score_phi2 + c_k,
-                3.0 * e1g * phi1_max + e0g * phi2_max,
+            prec = _clipped_two_sided(
+                e0g, e1g, phi1_max, phi2_max, score_phi1, score_phi2, c_k
             )
         best_prec = min(best_prec, float(prec.min()))
         mask = prec <= target_eps
@@ -761,7 +703,7 @@ def sample_complexity(
     if estimator not in (EstimatorKind.BHATTACHARYA, EstimatorKind.CLIPPED):
         raise ValueError("sample_complexity supports the Fisher estimators only")
     spec = spec or ComplexitySearchSpec()
-    env = lemma1_constants(channel.snr, channel.variance, channel.second_moment)
+    tail = tail_model_for_channel(channel)
 
     k_grid = np.asarray(spec.k_grid, dtype=float)
     if estimator is EstimatorKind.BHATTACHARYA:
@@ -772,7 +714,7 @@ def sample_complexity(
         e1_grid = np.geomspace(1e-9, 0.5, spec.e1_points)
 
     best, best_prec = _complexity_pass(
-        estimator, channel, env, k_grid, b0_grid, e1_grid,
+        estimator, channel, tail, k_grid, b0_grid, e1_grid,
         target_eps, target_perr, spec,
     )
     if best is not None:
@@ -785,7 +727,7 @@ def sample_complexity(
             b0_local = np.geomspace(b0 / r0, min(b0 * r0, 0.999), 17)
             e1_local = np.geomspace(e1 / r1, e1 * r1, 17)
             refined, _ = _complexity_pass(
-                estimator, channel, env, k_local, b0_local, e1_local,
+                estimator, channel, tail, k_local, b0_local, e1_local,
                 target_eps, target_perr, spec,
             )
             if refined is None or refined[0] >= best[0]:

@@ -17,15 +17,13 @@ class InfeasibleTargetError(RuntimeError):
 
     Attributes
     ----------
-    best_precision, best_confidence : float
-        The best (precision, confidence) pair achieved at the upper end of
-        the search range, for diagnostics.
+    best_precision : float
+        The smallest precision bound on the search grid, for diagnostics.
     """
 
-    def __init__(self, message, best_precision=None, best_confidence=None):
+    def __init__(self, message, best_precision=None):
         super().__init__(message)
         self.best_precision = best_precision
-        self.best_confidence = best_confidence
 
 
 class UnsupportedOracleError(ValueError):

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import GAUSSIAN_KERNEL, KernelSpec, kde_profile
+from .kernels import kde_profile
 from .quadrature import integrate_values, simpson_nodes
 from .samples import SampleSet
 
@@ -113,26 +113,24 @@ def _floored_density(dens: np.ndarray, floor: float) -> tuple[np.ndarray, float]
     return floored, float(np.mean(dens < floor))
 
 
-def score_at(samples: SampleSet, config: EstimatorConfig, t,
-             kernel: KernelSpec = GAUSSIAN_KERNEL):
+def score_at(samples: SampleSet, config: EstimatorConfig, t):
     """Estimated score f_n'(t) / max(f_n(t), density_floor)."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    dens, deriv = kde_profile(samples, config.a0, config.a1, t_arr, kernel)
+    dens, deriv = kde_profile(samples, config.a0, config.a1, t_arr)
     floored, _ = _floored_density(dens, config.density_floor)
     out = deriv / floored
     return float(out[0]) if np.ndim(t) == 0 else out
 
 
-def _profile_on_grid(samples, config, kernel):
+def _profile_on_grid(samples, config):
     grid = simpson_nodes(-config.k_n, config.k_n, config.grid_points)
-    dens, deriv = kde_profile(samples, config.a0, config.a1, grid, kernel)
+    dens, deriv = kde_profile(samples, config.a0, config.a1, grid)
     return grid, dens, deriv
 
 
-def bhattacharya(samples: SampleSet, config: EstimatorConfig,
-                 kernel: KernelSpec = GAUSSIAN_KERNEL) -> EstimateResult:
+def bhattacharya(samples: SampleSet, config: EstimatorConfig) -> EstimateResult:
     """Plug-in estimate of the Fisher information over [-k_n, k_n]."""
-    grid, dens, deriv = _profile_on_grid(samples, config, kernel)
+    grid, dens, deriv = _profile_on_grid(samples, config)
     floored, floored_frac = _floored_density(dens, config.density_floor)
     value = integrate_values(deriv * deriv / floored, -config.k_n, config.k_n)
     return EstimateResult(
@@ -143,12 +141,11 @@ def bhattacharya(samples: SampleSet, config: EstimatorConfig,
     )
 
 
-def clipped(samples: SampleSet, config: EstimatorConfig,
-            kernel: KernelSpec = GAUSSIAN_KERNEL) -> EstimateResult:
+def clipped(samples: SampleSet, config: EstimatorConfig) -> EstimateResult:
     """Score-clipped estimate: integral of min(|rho_n|, |rho_bar|) * |f_n'|."""
     if config.clip_envelope is None:
         raise ValueError("clipped estimator requires a clip_envelope")
-    grid, dens, deriv = _profile_on_grid(samples, config, kernel)
+    grid, dens, deriv = _profile_on_grid(samples, config)
     floored, floored_frac = _floored_density(dens, config.density_floor)
     rho = np.abs(deriv) / floored
     rho_bar = np.abs(np.asarray(config.clip_envelope(grid), dtype=float))
@@ -176,20 +173,18 @@ def mmse_from_fisher(fisher: float, snr: float) -> float:
 
 
 def estimate(samples: SampleSet, config: EstimatorConfig, kind: EstimatorKind,
-             snr: float | None = None,
-             kernel: KernelSpec = GAUSSIAN_KERNEL) -> EstimateResult:
+             snr: float | None = None) -> EstimateResult:
     """Dispatch over the four estimator kinds; MMSE kinds need snr."""
     if kind is EstimatorKind.BHATTACHARYA:
-        return bhattacharya(samples, config, kernel)
+        return bhattacharya(samples, config)
     if kind is EstimatorKind.CLIPPED:
-        return clipped(samples, config, kernel)
+        return clipped(samples, config)
     base = estimate(
         samples,
         config,
         EstimatorKind.BHATTACHARYA
         if kind is EstimatorKind.MMSE_BHATTACHARYA
         else EstimatorKind.CLIPPED,
-        kernel=kernel,
     )
     if snr is None:
         raise ValueError("MMSE estimators require snr")

@@ -113,32 +113,9 @@ class ExperimentConfig:
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
 
-    _KNOWN_KEYS = frozenset(
-        {
-            "kind",
-            "channel",
-            "n_list",
-            "trials",
-            "estimator",
-            "estimator_config",
-            "snr_grid",
-            "seed",
-            "output_path",
-            "estimate_bin_width",
-            "error_bin_width",
-            "eps_grid",
-            "perr_grid",
-            "eps_fixed",
-            "perr_fixed",
-            "overlay_half_width",
-            "overlay_grid_points",
-            "threads",
-        }
-    )
-
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = set(d) - cls._KNOWN_KEYS
+        unknown = set(d) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
         if "kind" not in d or "channel" not in d:

@@ -15,7 +15,6 @@ empirical CDF and the derived tail for the kernel estimates.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -31,10 +30,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK_ELEMENTS = 8_000_000
 
 
-class KernelKind(enum.Enum):
-    GAUSSIAN = "gaussian"
-
-
 @dataclass(frozen=True)
 class KernelSpec:
     """A kernel plus the constants its concentration bounds need.
@@ -45,7 +40,6 @@ class KernelSpec:
     standard Gaussian noise.
     """
 
-    kind: KernelKind
     v0: float
     v1: float
     bias_slope_0: float
@@ -67,7 +61,6 @@ class KernelSpec:
 # |K''(t)| = |t^2 - 1| K(t) integrates to 2*sqrt(2/(e*pi)); the factor 2
 # comes from the sign changes at t = +/-1.
 GAUSSIAN_KERNEL = KernelSpec(
-    kind=KernelKind.GAUSSIAN,
     v0=math.sqrt(2.0 / math.pi),
     v1=2.0 * math.sqrt(2.0 / (math.e * math.pi)),
     bias_slope_0=1.0 / math.sqrt(2.0 * math.pi * math.e),
@@ -115,23 +108,17 @@ def _eval(samples: SampleSet, a: float, t, want_deriv: bool):
     return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
 
 
-def kde_at(samples: SampleSet, a: float, t, kernel: KernelSpec = GAUSSIAN_KERNEL):
+def kde_at(samples: SampleSet, a: float, t):
     """Kernel density estimate f_n(t); t may be a scalar or an array."""
     return _eval(samples, a, t, want_deriv=False)
 
 
-def kde_deriv_at(samples: SampleSet, a: float, t, kernel: KernelSpec = GAUSSIAN_KERNEL):
+def kde_deriv_at(samples: SampleSet, a: float, t):
     """Kernel estimate f_n'(t) of the density derivative."""
     return _eval(samples, a, t, want_deriv=True)
 
 
-def kde_profile(
-    samples: SampleSet,
-    a0: float,
-    a1: float,
-    grid: np.ndarray,
-    kernel: KernelSpec = GAUSSIAN_KERNEL,
-):
+def kde_profile(samples: SampleSet, a0: float, a1: float, grid: np.ndarray):
     """(f_n, f_n') on a grid, sharing exponentials when a0 == a1."""
     a0 = _check_bandwidth(a0)
     a1 = _check_bandwidth(a1)
@@ -161,9 +148,7 @@ def dkw_tail(n: int, eps: float) -> float:
     return 2.0 * math.exp(-2.0 * n * eps * eps)
 
 
-def sup_deviation_tail(
-    r: int, n: int, a: float, eps: float, kernel: KernelSpec = GAUSSIAN_KERNEL
-) -> float:
+def sup_deviation_tail(r: int, n: int, a: float, eps: float) -> float:
     """Tail bound on P[sup_t |f_n^{(r)}(t) - f^{(r)}(t)| > eps].
 
     Requires eps to exceed the deterministic bias delta = a * bias_slope_r;
@@ -174,11 +159,11 @@ def sup_deviation_tail(
     if n < 1:
         raise ValueError("n must be >= 1")
     a = _check_bandwidth(a)
-    delta = a * kernel.bias_slope(r)
+    delta = a * GAUSSIAN_KERNEL.bias_slope(r)
     if not eps > delta:
         raise HypothesisViolationError(
             f"need eps > delta_(r={r},a={a}) = {delta}; got eps = {eps}"
         )
-    v = kernel.total_variation(r)
+    v = GAUSSIAN_KERNEL.total_variation(r)
     exponent = 2.0 * n * a ** (2 * r + 2) * (eps - delta) ** 2 / (v * v)
     return 2.0 * math.exp(-exponent)

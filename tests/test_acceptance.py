@@ -34,12 +34,12 @@ from fisherinfo.bounds import (
     GaussianBoundConstants,
     bhattacharya_precision,
     clipped_precision,
-    envelope_integrals,
     gaussian_tail_model,
     sample_complexity,
 )
 from fisherinfo.experiments import run_histogram
 from fisherinfo.kernels import sup_deviation_tail
+from fisherinfo.quadrature import integrate
 
 TRIALS = 200
 
@@ -206,14 +206,16 @@ def test_criterion_7_oracle_equivalence():
     single = bhattacharya(SampleSet([0.0]), config).value
     assert single == pytest.approx(4.0, abs=1e-3)
 
-    # Quadrature vs analytic envelope integrals.
+    # Analytic vs quadrature envelope integrals.
     tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
-    c3 = math.sqrt(3.0)
+    rho_bar = lemma_clip_envelope(1.0, 1.0)
     for k in (1.0, 3.0, 6.0):
-        phi1, phi2 = envelope_integrals(tail.rho_bar, k)
-        assert phi1 == pytest.approx(2 * c3 * k + 3 * k**2, abs=1e-8)
+        phi1, phi2 = tail.rho_bar_integrals(k)
+        assert phi1 == pytest.approx(
+            integrate(lambda t: np.abs(rho_bar(t)), -k, k, 2001), abs=1e-8
+        )
         assert phi2 == pytest.approx(
-            2 * c3**2 * k + 6 * c3 * k**2 + 6 * k**3, abs=1e-8
+            integrate(lambda t: rho_bar(t) ** 2, -k, k, 2001), abs=1e-8
         )
 
     # Binary-input MMSE quadrature vs 10^7-sample brute force.

@@ -16,11 +16,11 @@ from fisherinfo import (
     bhattacharya,
     binary_channel,
     gaussian_channel,
+    lemma_clip_envelope,
     true_score,
 )
 from fisherinfo.bounds import (
     ComplexitySearchSpec,
-    ErrorBudget,
     GaussianBoundConstants,
     ZeroCount,
     _vector_bisect_log10n,
@@ -32,14 +32,14 @@ from fisherinfo.bounds import (
     clipped_precision,
     confidence_bound,
     count_derivative_zeros,
-    envelope_integrals,
     gaussian_tail_model,
-    lemma1_constants,
     lemma2_tail,
     modified_error_bound,
     sample_complexity,
+    tail_model_for_channel,
 )
 from fisherinfo.errors import HypothesisViolationError, InfeasibleTargetError
+from fisherinfo.quadrature import integrate
 
 _SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -48,6 +48,14 @@ _SQRT_2PI = math.sqrt(2 * math.pi)
 def unit_tail():
     """Tail model for the Gaussian channel at snr = Var = E[X^2] = alpha = 1."""
     return gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0, f0=1.0 / _SQRT_2PI)
+
+
+def _simpson_envelope_integrals(rho_bar, k_n):
+    """(int |rho_bar|, int rho_bar^2) over [-k_n, k_n] by Simpson's rule:
+    the oracle for TailModel.rho_bar_integrals."""
+    phi1 = integrate(lambda t: np.abs(rho_bar(t)), -k_n, k_n, 2001)
+    phi2 = integrate(lambda t: rho_bar(t) ** 2, -k_n, k_n, 2001)
+    return phi1, phi2
 
 
 @pytest.fixture(scope="module")
@@ -97,19 +105,6 @@ def _scalar_lemma2_tail(k_n, snr, second_moment, alpha=None):
     return best
 
 
-class TestErrorBudget:
-    def test_valid(self):
-        ErrorBudget(eps0=0.1, eps1=0.1, eps_n=0.5, p_err=0.2)
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            ErrorBudget(eps0=0.0, eps1=0.1, eps_n=0.5, p_err=0.2)
-
-    def test_perr_below_one(self):
-        with pytest.raises(ValueError):
-            ErrorBudget(eps0=0.1, eps1=0.1, eps_n=0.5, p_err=1.0)
-
-
 class TestConstants:
     def test_c1_c2_from_first_principles(self, unit_constants):
         c1 = math.pi * (1 - 1 / math.sqrt(2 * math.pi * math.e)) ** 2
@@ -146,21 +141,16 @@ class TestConstants:
 
 class TestLemma1Constants:
     def test_zero_variance_zero_truncation(self):
-        env = lemma1_constants(1.0, 0.0, 1.0)
+        env = gaussian_tail_model(1.0, 0.0, 1.0)
         assert env.rho_max(0.0) == 0.0
 
     def test_phi_at_origin_zero_snr(self):
-        env = lemma1_constants(0.0, 0.0, 0.0)
+        env = gaussian_tail_model(0.0, 0.0, 0.0)
         assert float(env.phi(0.0)) == pytest.approx(_SQRT_2PI, abs=1e-4)
-
-    def test_kernel_constants_echoed(self):
-        env = lemma1_constants(1.0, 1.0, 1.0)
-        assert env.v0 == pytest.approx(math.sqrt(2 / math.pi), abs=1e-5)
-        assert env.fisher_upper == 1.0
 
     def test_invalid_moments(self):
         with pytest.raises(ValueError):
-            lemma1_constants(1.0, 2.0, 1.0)
+            gaussian_tail_model(1.0, 2.0, 1.0)
 
 
 class TestTruncationTail:
@@ -337,19 +327,30 @@ class TestClippedErrorBound:
         )
 
     def test_envelope_integrals_match_closed_forms(self, unit_tail):
-        c3 = math.sqrt(3.0)
+        rho_bar = lemma_clip_envelope(1.0, 1.0)
         for k in (1.0, 2.5, 5.0):
-            phi1, phi2 = envelope_integrals(unit_tail.rho_bar, k)
-            assert phi1 == pytest.approx(2 * c3 * k + 3 * k**2, abs=1e-8)
-            assert phi2 == pytest.approx(
-                2 * c3**2 * k + 6 * c3 * k**2 + 6 * k**3, abs=1e-8
-            )
+            phi1, phi2 = unit_tail.rho_bar_integrals(k)
+            want1, want2 = _simpson_envelope_integrals(rho_bar, k)
+            assert phi1 == pytest.approx(want1, abs=1e-8)
+            assert phi2 == pytest.approx(want2, abs=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        snr=st.floats(0.0, 10.0),
+        variance=st.floats(0.0, 4.0),
+        k=st.floats(0.1, 12.0),
+    )
+    def test_envelope_integrals_match_simpson(self, snr, variance, k):
+        tail = gaussian_tail_model(snr, variance, variance)
+        got = tail.rho_bar_integrals(k)
+        want = _simpson_envelope_integrals(lemma_clip_envelope(snr, variance), k)
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_non_finite_envelope_rejected(self, unit_tail):
         import dataclasses
 
         bad = dataclasses.replace(
-            unit_tail, rho_bar=lambda t: np.full_like(np.asarray(t, float), np.inf)
+            unit_tail, rho_bar_integrals=lambda k: (np.inf, np.nan)
         )
         with pytest.raises(ValueError, match="finite"):
             clipped_error_bound(1e-3, 1e-3, 2.0, bad)
@@ -629,6 +630,21 @@ class TestSampleComplexity:
         (0.5, 0.8, 20.478602635146686, 14.45219577964269),
         (0.5, 0.9, 20.439582570803726, 14.392482520699183),
     ]
+
+    @pytest.mark.parametrize("factory", [gaussian_channel, binary_channel])
+    def test_certified_point_meets_printed_bound(self, factory):
+        # The search evaluates the Theorem 2 and 4 formulas of the public
+        # evaluators, so its optimum meets them with no slack.
+        model = factory(1.0)
+        tail = tail_model_for_channel(model)
+        for eps, perr, _, _ in self.RECORDED_TABLE:
+            r = sample_complexity(eps, perr, EstimatorKind.BHATTACHARYA, model)
+            assert bhattacharya_error_bound(r.eps0, r.eps1, r.k_n, tail) <= eps
+            r = sample_complexity(eps, perr, EstimatorKind.CLIPPED, model)
+            bound = clipped_error_bound_two_sided(
+                r.eps0, r.eps1, r.k_n, tail, *channel_score_integrals(model, r.k_n)
+            )
+            assert bound <= eps, (eps, perr)
 
     def test_table_matches_recorded_values(self):
         model = gaussian_channel(1.0)

@@ -22,7 +22,7 @@ from fisherinfo import (
     true_mmse,
     true_score,
 )
-from fisherinfo.bounds import lemma1_constants
+from fisherinfo.bounds import gaussian_tail_model
 from fisherinfo.errors import UnsupportedOracleError
 
 
@@ -190,8 +190,8 @@ class TestDensities:
         grid = np.linspace(-6, 6, 241)
         for factory in (gaussian_channel, binary_channel):
             model = factory(snr)
-            env = lemma1_constants(snr, model.variance, model.second_moment)
-            assert np.all(1.0 / true_density(model, grid) <= env.phi(grid) + 1e-9)
+            phi = gaussian_tail_model(snr, model.variance, model.second_moment).phi
+            assert np.all(1.0 / true_density(model, grid) <= phi(grid) + 1e-9)
 
     @pytest.mark.parametrize("snr", [1.0, 5.0])
     def test_score_envelope_sound(self, snr):
