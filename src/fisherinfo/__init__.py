@@ -7,7 +7,6 @@ from .bounds import (
     ComplexitySearchSpec,
     GaussianBoundConstants,
     TailModel,
-    ZeroCount,
     bhattacharya_error_bound,
     bhattacharya_precision,
     clipped_error_bound,
@@ -64,8 +63,6 @@ from .experiments import (
     run_snr_sweep,
 )
 from .kernels import (
-    GAUSSIAN_KERNEL,
-    KernelSpec,
     dkw_tail,
     empirical_cdf,
     kde_at,

@@ -26,7 +26,7 @@ import numpy as np
 from .channel import ChannelModel, InputLaw, true_score
 from .errors import HypothesisViolationError, InfeasibleTargetError
 from .estimators import EstimatorKind
-from .kernels import GAUSSIAN_KERNEL
+from .kernels import deviation_rate, rate_optimal_bandwidth
 from .quadrature import integrate
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -54,21 +54,6 @@ class TailModel:
 
 
 @dataclass(frozen=True)
-class ZeroCount:
-    """Number of zeros of a derivative on [-interval_half_width, ...]."""
-
-    count: int
-    tolerance: float
-    interval_half_width: float
-
-    def __post_init__(self):
-        if self.count < 0:
-            raise ValueError("count must be nonnegative")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
 class GaussianBoundConstants:
     """The constants entering the Gaussian-channel precision/confidence
     schedules, fully determined by (snr, Var(X), E[X^2], alpha)."""
@@ -86,15 +71,15 @@ class GaussianBoundConstants:
 
     @property
     def c1(self) -> float:
-        return math.pi * (1.0 - 1.0 / math.sqrt(2.0 * math.pi * math.e)) ** 2
+        """Rate constant of the density tail: with eps0 = a0 = n^-w0 its
+        exponent is c1 n^(1-4 w0)."""
+        return deviation_rate(0, 1.0, 1.0)
 
     @property
     def c2(self) -> float:
-        return (
-            math.e
-            * math.pi
-            * (1.0 - (2.0 / math.e + 1.0) / math.sqrt(2.0 * math.pi)) ** 2
-        )
+        """Rate constant of the derivative tail: with eps1 = a1 = n^-w1 its
+        exponent is c2 n^(1-6 w1)."""
+        return deviation_rate(1, 1.0, 1.0)
 
     @property
     def c3(self) -> float:
@@ -300,29 +285,26 @@ def log_envelope_psi(eps0: float, k_n: float, tail: TailModel) -> float:
     )
 
 
-def _zero_count(d) -> int:
-    return d.count if isinstance(d, ZeroCount) else int(d)
-
-
 def modified_error_bound(
     eps0: float,
     eps1: float,
     k_n: float,
     tail: TailModel,
-    d_f: ZeroCount | int,
-    d_fn: ZeroCount | int,
+    d_f: int,
+    d_fn: int,
 ) -> float:
     """Log-envelope error bound for the plug-in estimator.
 
     Replaces the phi factor by the much slower-growing |log f_n| envelope,
-    at the price of the derivative zero counts of f and f_n.
+    at the price of the derivative zero counts d_f of f and d_fn of f_n.
     """
     if eps0 < 0 or eps1 < 0:
         raise ValueError("eps0 and eps1 must be nonnegative")
+    if d_f < 0 or d_fn < 0:
+        raise ValueError("zero counts d_f and d_fn must be nonnegative")
     psi = log_envelope_psi(eps0, k_n, tail)
-    df, dfn = _zero_count(d_f), _zero_count(d_fn)
     rho_m = float(tail.rho_max(k_n))
-    lead = eps1 * (4.0 + df + dfn) + eps0 * (2.0 + dfn) * rho_m
+    lead = eps1 * (4.0 + d_f + d_fn) + eps0 * (2.0 + d_fn) * rho_m
     return lead * psi + float(tail.c_tail(k_n))
 
 
@@ -470,13 +452,14 @@ def clipped_precision(
 
 def confidence_bound(
     n,
-    constants: GaussianBoundConstants,
     estimator: EstimatorKind,
     w: float | None = None,
     w0: float | None = None,
     w1: float | None = None,
 ):
-    """Failure probability 2 exp(-c1 n^(1-4w0)) + 2 exp(-c2 n^(1-6w1)).
+    """Failure probability of the schedule a_r = eps_r = n^-w_r: the sum of
+    the two sup-deviation tails 2 exp(-n deviation_rate(r, a_r, a_r)), which
+    is 2 exp(-c1 n^(1-4w0)) + 2 exp(-c2 n^(1-6w1)).
 
     The plug-in schedule uses a single bandwidth exponent (w0 = w1 = w)."""
     if estimator in (EstimatorKind.BHATTACHARYA, EstimatorKind.MMSE_BHATTACHARYA):
@@ -486,8 +469,9 @@ def confidence_bound(
         _check_open("w0", w0, 0.0, 1.0 / 4.0)
         _check_open("w1", w1, 0.0, 1.0 / 6.0)
     n = np.asarray(n, dtype=float)
-    out = 2.0 * np.exp(-constants.c1 * n ** (1.0 - 4.0 * w0)) + 2.0 * np.exp(
-        -constants.c2 * n ** (1.0 - 6.0 * w1)
+    a0, a1 = n ** -w0, n ** -w1
+    out = 2.0 * np.exp(-n * deviation_rate(0, a0, a0)) + 2.0 * np.exp(
+        -n * deviation_rate(1, a1, a1)
     )
     return float(out) if out.ndim == 0 else out
 
@@ -498,7 +482,7 @@ def confidence_bound(
 
 def count_derivative_zeros(
     fn, k: float, grid_points: int = 4001, tolerance: float = 1e-3
-) -> ZeroCount:
+) -> int:
     """Count sign changes of a derivative evaluator on [-k, k].
 
     Sign changes closer together than `tolerance` are merged; tangential
@@ -526,7 +510,7 @@ def count_derivative_zeros(
         if last is None or pos - last > tolerance:
             merged += 1
             last = pos
-    return ZeroCount(count=merged, tolerance=tolerance, interval_half_width=k)
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +559,10 @@ class ComplexitySearchSpec:
 
 
 def _concentration_rates(e0, e1):
-    """Per-sample exponential rates A_r of the two sup-norm tail bounds, at
-    the bandwidths maximizing the exponents a^(2r+2)(e - d a)^2 for the
-    sup-norm budget: a0 = e0/(2 d0), a1 = 2 e1/(3 d1)."""
-    d0 = GAUSSIAN_KERNEL.bias_slope_0
-    d1 = GAUSSIAN_KERNEL.bias_slope_1
-    a0, a1 = e0 / (2.0 * d0), 2.0 * e1 / (3.0 * d1)
-    rate0 = 2.0 * a0**2 * (e0 - a0 * d0) ** 2 / GAUSSIAN_KERNEL.v0**2
-    rate1 = 2.0 * a1**4 * (e1 - a1 * d1) ** 2 / GAUSSIAN_KERNEL.v1**2
-    return a0, a1, rate0, rate1
+    """Rate-optimal bandwidths and per-sample rates A_r of the two sup-norm
+    tail bounds for the budgets (e0, e1)."""
+    a0, a1 = rate_optimal_bandwidth(0, e0), rate_optimal_bandwidth(1, e1)
+    return a0, a1, deviation_rate(0, a0, e0), deviation_rate(1, a1, e1)
 
 
 #: Relative slack when pruning by bracket: far above the rounding error of

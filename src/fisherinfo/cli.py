@@ -204,7 +204,7 @@ def cmd_bounds(args) -> int:
                 args.n, args.u, args.w, constants, sub_gaussian=args.sub_gaussian
             )
             payload["p_err"] = bounds_mod.confidence_bound(
-                args.n, constants, EstimatorKind.BHATTACHARYA, w=args.w
+                args.n, EstimatorKind.BHATTACHARYA, w=args.w
             )
         else:
             payload["eps_n"] = bounds_mod.clipped_precision(
@@ -212,7 +212,7 @@ def cmd_bounds(args) -> int:
                 sub_gaussian=args.sub_gaussian,
             )
             payload["p_err"] = bounds_mod.confidence_bound(
-                args.n, constants, EstimatorKind.CLIPPED, w0=args.w0, w1=args.w1
+                args.n, EstimatorKind.CLIPPED, w0=args.w0, w1=args.w1
             )
     _print_json(payload)
     return EXIT_OK

@@ -16,7 +16,6 @@ empirical CDF and the derived tail for the kernel estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,41 +29,19 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _BLOCK_ELEMENTS = 8_000_000
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """A kernel plus the constants its concentration bounds need.
-
-    v0, v1 are the total variations of K' and K'' (equivalently, the
-    integrals of |K'| and |K''|). bias_slope_r is the sup-norm bias of the
-    r-th derivative estimate per unit bandwidth, for densities smoothed by
-    standard Gaussian noise.
-    """
-
-    v0: float
-    v1: float
-    bias_slope_0: float
-    bias_slope_1: float
-
-    def __post_init__(self):
-        if self.v0 <= 0 or self.v1 <= 0:
-            raise ValueError("v0 and v1 must be positive")
-        if self.bias_slope_0 < 0 or self.bias_slope_1 < 0:
-            raise ValueError("bias slopes must be nonnegative")
-
-    def bias_slope(self, r: int) -> float:
-        return (self.bias_slope_0, self.bias_slope_1)[_check_order(r)]
-
-    def total_variation(self, r: int) -> float:
-        return (self.v0, self.v1)[_check_order(r)]
-
-
-# |K''(t)| = |t^2 - 1| K(t) integrates to 2*sqrt(2/(e*pi)); the factor 2
-# comes from the sign changes at t = +/-1.
-GAUSSIAN_KERNEL = KernelSpec(
-    v0=math.sqrt(2.0 / math.pi),
-    v1=2.0 * math.sqrt(2.0 / (math.e * math.pi)),
-    bias_slope_0=1.0 / math.sqrt(2.0 * math.pi * math.e),
-    bias_slope_1=(2.0 / math.e + 1.0) / math.sqrt(2.0 * math.pi),
+# Constants of the sup-norm concentration law for f_n^(r), r = 0, 1.
+# _TOTAL_VARIATION[r] is the total variation of K^(r), i.e. the integral of
+# |K^(r+1)|: int |K'| = sqrt(2/pi), and |K''(t)| = |t^2 - 1| K(t) integrates
+# to 2*sqrt(2/(e*pi)) (the factor 2 comes from the sign changes at t = +/-1).
+# _BIAS_SLOPE[r] is the sup-norm bias of f_n^(r) per unit bandwidth, for
+# densities smoothed by standard Gaussian noise.
+_TOTAL_VARIATION = (
+    math.sqrt(2.0 / math.pi),
+    2.0 * math.sqrt(2.0 / (math.e * math.pi)),
+)
+_BIAS_SLOPE = (
+    1.0 / math.sqrt(2.0 * math.pi * math.e),
+    (2.0 / math.e + 1.0) / math.sqrt(2.0 * math.pi),
 )
 
 
@@ -148,22 +125,39 @@ def dkw_tail(n: int, eps: float) -> float:
     return 2.0 * math.exp(-2.0 * n * eps * eps)
 
 
-def sup_deviation_tail(r: int, n: int, a: float, eps: float) -> float:
-    """Tail bound on P[sup_t |f_n^{(r)}(t) - f^{(r)}(t)| > eps].
+def deviation_rate(r: int, a, eps):
+    """Per-sample exponent 2 a^(2r+2) (eps - a delta_r)^2 / V_r^2 of the
+    sup-norm tail of f_n^(r) at bandwidth a and budget eps: the DKW
+    inequality bounds the stochastic part of the error by V_r / a^(r+1)
+    times sup|F_n - F|, after the bias a * delta_r is spent. Array-friendly
+    in a and eps; meaningful where eps > a * delta_r.
+    """
+    r = _check_order(r)
+    return 2.0 * a ** (2 * r + 2) * (eps - a * _BIAS_SLOPE[r]) ** 2 / (
+        _TOTAL_VARIATION[r] ** 2
+    )
 
-    Requires eps to exceed the deterministic bias delta = a * bias_slope_r;
-    the stochastic part is then controlled through the DKW inequality:
-    2 * exp(-2 n a^{2r+2} (eps - delta)^2 / v_r^2).
+
+def rate_optimal_bandwidth(r: int, eps):
+    """The bandwidth (r+1) eps / ((r+2) delta_r) maximizing deviation_rate
+    at a fixed budget eps."""
+    r = _check_order(r)
+    return (r + 1) * eps / ((r + 2) * _BIAS_SLOPE[r])
+
+
+def sup_deviation_tail(r: int, n: int, a: float, eps: float) -> float:
+    """Tail bound 2 exp(-n deviation_rate(r, a, eps)) on
+    P[sup_t |f_n^{(r)}(t) - f^{(r)}(t)| > eps].
+
+    Requires eps to exceed the deterministic bias delta = a * delta_r.
     """
     r = _check_order(r)
     if n < 1:
         raise ValueError("n must be >= 1")
     a = _check_bandwidth(a)
-    delta = a * GAUSSIAN_KERNEL.bias_slope(r)
+    delta = a * _BIAS_SLOPE[r]
     if not eps > delta:
         raise HypothesisViolationError(
             f"need eps > delta_(r={r},a={a}) = {delta}; got eps = {eps}"
         )
-    v = GAUSSIAN_KERNEL.total_variation(r)
-    exponent = 2.0 * n * a ** (2 * r + 2) * (eps - delta) ** 2 / (v * v)
-    return 2.0 * math.exp(-exponent)
+    return 2.0 * math.exp(-n * deviation_rate(r, a, eps))

@@ -17,7 +17,6 @@ from fisherinfo import (
     EstimatorKind,
     ExperimentConfig,
     ExperimentKind,
-    GAUSSIAN_KERNEL,
     SampleSet,
     bhattacharya,
     binary_channel,
@@ -38,7 +37,7 @@ from fisherinfo.bounds import (
     sample_complexity,
 )
 from fisherinfo.experiments import run_histogram
-from fisherinfo.kernels import sup_deviation_tail
+from fisherinfo.kernels import _BIAS_SLOPE, sup_deviation_tail
 from fisherinfo.quadrature import integrate
 
 TRIALS = 200
@@ -186,7 +185,7 @@ def test_criterion_6_concentration_soundness():
         sup0[i] = np.max(np.abs(dens - f_true))
         sup1[i] = np.max(np.abs(deriv - fp_true))
     for r, sups in ((0, sup0), (1, sup1)):
-        delta = a * GAUSSIAN_KERNEL.bias_slope(r)
+        delta = a * _BIAS_SLOPE[r]
         for margin in (0.02, 0.05, 0.1):
             eps = delta + margin
             bound = min(1.0, sup_deviation_tail(r, n, a, eps))

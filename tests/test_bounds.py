@@ -22,7 +22,6 @@ from fisherinfo import (
 from fisherinfo.bounds import (
     ComplexitySearchSpec,
     GaussianBoundConstants,
-    ZeroCount,
     _vector_bisect_log10n,
     bhattacharya_error_bound,
     bhattacharya_precision,
@@ -39,6 +38,7 @@ from fisherinfo.bounds import (
     tail_model_for_channel,
 )
 from fisherinfo.errors import HypothesisViolationError, InfeasibleTargetError
+from fisherinfo.kernels import sup_deviation_tail
 from fisherinfo.quadrature import integrate
 
 _SQRT_2PI = math.sqrt(2 * math.pi)
@@ -105,14 +105,23 @@ def _scalar_lemma2_tail(k_n, snr, second_moment, alpha=None):
     return best
 
 
+def _certified_tails(res):
+    """Sum of the sup-deviation tails of f_n and f_n' at a certified point."""
+    n = 10.0**res.log10_n
+    return sup_deviation_tail(0, n, res.a0, res.eps0) + sup_deviation_tail(
+        1, n, res.a1, res.eps1
+    )
+
+
 class TestConstants:
     def test_c1_c2_from_first_principles(self, unit_constants):
+        # c_r = 2 (1 - delta_r)^2 / V_r^2 with V0^2 = 2/pi, V1^2 = 8/(e pi).
         c1 = math.pi * (1 - 1 / math.sqrt(2 * math.pi * math.e)) ** 2
-        c2 = math.e * math.pi * (1 - (2 / math.e + 1) / _SQRT_2PI) ** 2
+        c2 = math.e * math.pi * (1 - (2 / math.e + 1) / _SQRT_2PI) ** 2 / 4
         assert unit_constants.c1 == pytest.approx(c1, rel=1e-12)
         assert unit_constants.c2 == pytest.approx(c2, rel=1e-12)
         assert unit_constants.c1 == pytest.approx(1.80519, abs=1e-4)
-        assert unit_constants.c2 == pytest.approx(0.80766, abs=1e-4)
+        assert unit_constants.c2 == pytest.approx(0.20191, abs=1e-4)
 
     def test_c3_to_c6_defining_expressions(self, unit_constants):
         c = unit_constants
@@ -304,7 +313,7 @@ class TestLogEnvelopeBound:
         f0 = unit_tail.f0
         psi = max(math.log(f0), math.log(float(unit_tail.phi(k))))
         expected = 4 * eps1 * psi + float(unit_tail.c_tail(k))
-        got = modified_error_bound(0.0, eps1, k, unit_tail, ZeroCount(0, 1e-3, k), 0)
+        got = modified_error_bound(0.0, eps1, k, unit_tail, 0, 0)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_requires_f0(self):
@@ -466,25 +475,37 @@ class TestPrecisionSchedules:
             for u in np.linspace(1e-3, min(w0 / 3, w1 / 2) - 1e-3, 10)
         )
         assert clip < plug
-        conf_plug = confidence_bound(n, unit_constants,
-                                     EstimatorKind.BHATTACHARYA, w=0.15)
-        conf_clip = confidence_bound(n, unit_constants, EstimatorKind.CLIPPED,
-                                     w0=0.2, w1=0.15)
+        conf_plug = confidence_bound(n, EstimatorKind.BHATTACHARYA, w=0.15)
+        conf_clip = confidence_bound(n, EstimatorKind.CLIPPED, w0=0.2, w1=0.15)
         assert conf_clip <= conf_plug + 1e-300
 
 
 class TestConfidenceBound:
-    def test_boundary_rejected(self, unit_constants):
+    def test_boundary_rejected(self):
         with pytest.raises(HypothesisViolationError):
-            confidence_bound(1e6, unit_constants, EstimatorKind.BHATTACHARYA,
-                             w=1.0 / 6.0)
+            confidence_bound(1e6, EstimatorKind.BHATTACHARYA, w=1.0 / 6.0)
 
-    def test_decreasing_in_n(self, unit_constants):
+    def test_decreasing_in_n(self):
         n = np.logspace(1, 5, 50)
-        p = confidence_bound(n, unit_constants, EstimatorKind.BHATTACHARYA, w=0.1)
+        p = confidence_bound(n, EstimatorKind.BHATTACHARYA, w=0.1)
         assert np.all(np.diff(p) < 0)
 
-    def test_constructed_failure_probability(self, unit_constants):
+    @pytest.mark.parametrize("n", [1e4, 1e8, 1e20])
+    def test_backed_by_kernel_tails(self, n):
+        # With a_r = eps_r = n^-w_r the schedule's failure probability is the
+        # sum of the two sup-deviation tails (1e-9: rounding of the exponents).
+        def tails(w0, w1):
+            a0, a1 = n**-w0, n**-w1
+            return sup_deviation_tail(0, n, a0, a0) + sup_deviation_tail(1, n, a1, a1)
+
+        for w in (0.05, 0.1, 0.12, 0.15):
+            p = confidence_bound(n, EstimatorKind.BHATTACHARYA, w=w)
+            assert tails(w, w) <= p * (1 + 1e-9), w
+        for w0, w1 in ((0.2, 0.1), (0.2, 0.15), (0.24, 0.05)):
+            p = confidence_bound(n, EstimatorKind.CLIPPED, w0=w0, w1=w1)
+            assert tails(w0, w1) <= p * (1 + 1e-9), (w0, w1)
+
+    def test_constructed_failure_probability(self):
         # Making both exponents equal ln 20 simultaneously would need
         # n < 1 here (the two rate constants differ), so instead solve
         # p(n) = 0.2 for n at fixed w and verify the solution by
@@ -493,21 +514,20 @@ class TestConfidenceBound:
         lo, hi = 1.0, 1e8
         for _ in range(200):
             mid = math.sqrt(lo * hi)
-            p = confidence_bound(mid, unit_constants,
-                                 EstimatorKind.BHATTACHARYA, w=w)
+            p = confidence_bound(mid, EstimatorKind.BHATTACHARYA, w=w)
             if p > 0.2:
                 lo = mid
             else:
                 hi = mid
         n = math.sqrt(lo * hi)
-        p = confidence_bound(n, unit_constants, EstimatorKind.BHATTACHARYA, w=w)
+        p = confidence_bound(n, EstimatorKind.BHATTACHARYA, w=w)
         assert p == pytest.approx(0.2, abs=1e-9)
 
 
 class TestZeroCounting:
     def test_standard_normal_derivative(self):
         deriv = lambda t: -t * np.exp(-0.5 * t**2)
-        assert count_derivative_zeros(deriv, 3.0).count == 1
+        assert count_derivative_zeros(deriv, 3.0) == 1
 
     def test_bimodal_mixture(self):
         def deriv(t):
@@ -515,25 +535,27 @@ class TestZeroCounting:
                 -0.5 * (t + 3) ** 2
             )
 
-        assert count_derivative_zeros(deriv, 6.0).count == 3
+        assert count_derivative_zeros(deriv, 6.0) == 3
 
     def test_constant_sign(self):
-        assert count_derivative_zeros(lambda t: np.ones_like(t) * 2.0, 4.0).count == 0
+        assert count_derivative_zeros(lambda t: np.ones_like(t) * 2.0, 4.0) == 0
 
     def test_merging_close_changes(self):
         # sin(40 t) has zeros every ~0.0785; a huge tolerance merges them.
         fn = lambda t: np.sin(40 * t)
-        merged = count_derivative_zeros(fn, 1.0, tolerance=10.0).count
+        merged = count_derivative_zeros(fn, 1.0, tolerance=10.0)
         assert merged == 1
 
     def test_scalar_only_callable(self):
-        assert count_derivative_zeros(lambda t: float(t), 2.0).count == 1
+        assert count_derivative_zeros(lambda t: float(t), 2.0) == 1
 
-    def test_validation(self):
+    def test_validation(self, unit_tail):
         with pytest.raises(ValueError):
             count_derivative_zeros(lambda t: t, 1.0, grid_points=2)
-        with pytest.raises(ValueError):
-            ZeroCount(count=-1, tolerance=1e-3, interval_half_width=1.0)
+        # A negative count would shrink the log-envelope bound.
+        for d_f, d_fn in ((-3, 0), (0, -1)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                modified_error_bound(1e-4, 1e-4, 2.0, unit_tail, d_f, d_fn)
 
 
 class TestSampleComplexity:
@@ -560,18 +582,11 @@ class TestSampleComplexity:
         assert a == b
 
     def test_result_parameters_are_consistent(self):
-        # Re-derive the confidence at the returned parameters and check the
-        # target is met at the returned sample size.
-        from fisherinfo.kernels import GAUSSIAN_KERNEL
-
+        # The kernel tails at the returned parameters meet the target at the
+        # returned sample size.
         model = gaussian_channel(1.0)
         res = sample_complexity(0.5, 0.2, EstimatorKind.CLIPPED, model)
-        n = 10.0**res.log10_n
-        d0, d1 = GAUSSIAN_KERNEL.bias_slope_0, GAUSSIAN_KERNEL.bias_slope_1
-        rate0 = 2 * res.a0**2 * (res.eps0 - res.a0 * d0) ** 2 / GAUSSIAN_KERNEL.v0**2
-        rate1 = 2 * res.a1**4 * (res.eps1 - res.a1 * d1) ** 2 / GAUSSIAN_KERNEL.v1**2
-        conf = 2 * math.exp(-rate0 * n) + 2 * math.exp(-rate1 * n)
-        assert conf <= 0.2 * (1 + 1e-9)
+        assert _certified_tails(res) <= 0.2 * (1 + 1e-9)
 
     def test_easier_targets_need_fewer_samples(self):
         model = gaussian_channel(1.0)
@@ -634,17 +649,20 @@ class TestSampleComplexity:
     @pytest.mark.parametrize("factory", [gaussian_channel, binary_channel])
     def test_certified_point_meets_printed_bound(self, factory):
         # The search evaluates the Theorem 2 and 4 formulas of the public
-        # evaluators, so its optimum meets them with no slack.
+        # evaluators, so its optimum meets them with no slack, and its
+        # confidence through the kernel tails.
         model = factory(1.0)
         tail = tail_model_for_channel(model)
         for eps, perr, _, _ in self.RECORDED_TABLE:
             r = sample_complexity(eps, perr, EstimatorKind.BHATTACHARYA, model)
             assert bhattacharya_error_bound(r.eps0, r.eps1, r.k_n, tail) <= eps
+            assert _certified_tails(r) <= perr * (1 + 1e-9), (eps, perr)
             r = sample_complexity(eps, perr, EstimatorKind.CLIPPED, model)
             bound = clipped_error_bound_two_sided(
                 r.eps0, r.eps1, r.k_n, tail, *channel_score_integrals(model, r.k_n)
             )
             assert bound <= eps, (eps, perr)
+            assert _certified_tails(r) <= perr * (1 + 1e-9), (eps, perr)
 
     def test_table_matches_recorded_values(self):
         model = gaussian_channel(1.0)

@@ -164,6 +164,15 @@ class TestBounds:
         assert code == 2
         assert "phi" in err
 
+    def test_negative_zero_count_usage_error(self, capsys):
+        code, _, err = run_cli(
+            capsys, "bounds", "--theorem", "3", "--eps0", "1e-4", "--eps1",
+            "1e-4", "--kn", "2", "--snr", "1", "--var", "1", "--ex2", "1",
+            "--f0", "0.3", "--df", "-3",
+        )
+        assert code == 1
+        assert "nonnegative" in err
+
     def test_missing_moments_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bounds", "--theorem", "2", "--kn", "2")
         assert code == 1

@@ -1,7 +1,9 @@
 """Tests for the experiment harness and its artifacts."""
 
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,3 +239,16 @@ class TestDispatch:
     def test_run_experiment_routes_by_kind(self):
         report = run_experiment(_config(trials=2))
         assert report.kind is ExperimentKind.HISTOGRAM
+
+    @pytest.mark.parametrize(
+        "name", ["complexity_curves", "density_overlay", "histograms", "snr_sweep"]
+    )
+    def test_example_config_runs(self, name, tmp_path):
+        path = Path(__file__).parent.parent / "examples" / f"{name}.json"
+        config = ExperimentConfig.from_json_file(path)
+        config = dataclasses.replace(
+            config, n_list=(200,), trials=min(config.trials, 2),
+            output_path=str(tmp_path / name),
+        )
+        paths = run_experiment(config).write(config.output_path)
+        assert all(p.stat().st_size > 0 for p in paths)

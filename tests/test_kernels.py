@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fisherinfo import (
-    GAUSSIAN_KERNEL,
     SampleSet,
     dkw_tail,
     empirical_cdf,
@@ -22,7 +21,13 @@ from fisherinfo import (
     true_density,
 )
 from fisherinfo.errors import HypothesisViolationError
-from fisherinfo.kernels import sup_deviation_tail
+from fisherinfo.kernels import (
+    _BIAS_SLOPE,
+    _TOTAL_VARIATION,
+    deviation_rate,
+    rate_optimal_bandwidth,
+    sup_deviation_tail,
+)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -39,24 +44,24 @@ class TestKernelConstants:
         k = lambda t: math.exp(-0.5 * t * t) / _SQRT_2PI
         v0, _ = quad(lambda t: abs(-t * k(t)), -12, 12)
         v1, _ = quad(lambda t: abs((t * t - 1) * k(t)), -12, 12)
-        assert GAUSSIAN_KERNEL.v0 == pytest.approx(v0, abs=1e-10)
-        assert GAUSSIAN_KERNEL.v1 == pytest.approx(v1, abs=1e-10)
+        assert _TOTAL_VARIATION[0] == pytest.approx(v0, abs=1e-10)
+        assert _TOTAL_VARIATION[1] == pytest.approx(v1, abs=1e-10)
 
     def test_closed_forms(self):
-        assert GAUSSIAN_KERNEL.v0 == pytest.approx(math.sqrt(2 / math.pi))
-        assert GAUSSIAN_KERNEL.v1 == pytest.approx(
+        assert _TOTAL_VARIATION[0] == pytest.approx(math.sqrt(2 / math.pi))
+        assert _TOTAL_VARIATION[1] == pytest.approx(
             2 * math.sqrt(2 / (math.e * math.pi))
         )
-        assert GAUSSIAN_KERNEL.bias_slope_0 == pytest.approx(
+        assert _BIAS_SLOPE[0] == pytest.approx(
             1 / math.sqrt(2 * math.pi * math.e)
         )
-        assert GAUSSIAN_KERNEL.bias_slope_1 == pytest.approx(
+        assert _BIAS_SLOPE[1] == pytest.approx(
             (2 / math.e + 1) / _SQRT_2PI
         )
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
-            GAUSSIAN_KERNEL.bias_slope(2)
+            deviation_rate(2, 0.1, 0.1)
 
 
 class TestKdeAt:
@@ -181,15 +186,15 @@ class TestSupDeviationTail:
     def test_substitution_cancels_n(self):
         # eps = delta + v0/sqrt(2n) makes the exponent n-free: 2 e^(-a^2).
         a, n = 0.1, 5000
-        delta = a * GAUSSIAN_KERNEL.bias_slope_0
-        eps = delta + GAUSSIAN_KERNEL.v0 / math.sqrt(2 * n)
+        delta = a * _BIAS_SLOPE[0]
+        eps = delta + _TOTAL_VARIATION[0] / math.sqrt(2 * n)
         assert sup_deviation_tail(0, n, a, eps) == pytest.approx(
             2 * math.exp(-(a**2)), rel=1e-9
         )
 
     def test_hypothesis_boundary_rejected(self):
         a = 0.2
-        delta = a * GAUSSIAN_KERNEL.bias_slope_1
+        delta = a * _BIAS_SLOPE[1]
         with pytest.raises(HypothesisViolationError):
             sup_deviation_tail(1, 100, a, delta)
 
@@ -202,7 +207,7 @@ class TestSupDeviationTail:
     )
     def test_decreasing_in_n(self, r, n, a, eps):
         # eps chosen above the largest possible bias (a <= 1, slopes < 1.2).
-        if eps <= a * GAUSSIAN_KERNEL.bias_slope(r):
+        if eps <= a * _BIAS_SLOPE[r]:
             return
         smaller = sup_deviation_tail(r, n + 1, a, eps)
         larger = sup_deviation_tail(r, n, a, eps)
@@ -213,6 +218,18 @@ class TestSupDeviationTail:
 
     def test_in_unit_probability_range_when_loose(self):
         assert 0 < sup_deviation_tail(0, 10, 0.5, 1.0) <= 2.0
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=1),
+        st.floats(min_value=1e-9, max_value=1.0),
+        st.floats(min_value=1e-3, max_value=0.5),
+    )
+    def test_optimal_bandwidth_maximizes_rate(self, r, eps, step):
+        a = rate_optimal_bandwidth(r, eps)
+        best = deviation_rate(r, a, eps)
+        for other in (a * (1 - step), a * (1 + step)):
+            assert deviation_rate(r, other, eps) <= best * (1 + 1e-12)
 
 
 class TestBiasBound:
@@ -229,5 +246,5 @@ class TestBiasBound:
         mean_fn = estimates.mean(axis=0)
         std_err = estimates.std(axis=0) / math.sqrt(resamples)
         bias = np.abs(mean_fn - true_density(channel, t_grid))
-        delta0 = a * GAUSSIAN_KERNEL.bias_slope_0
+        delta0 = a * _BIAS_SLOPE[0]
         assert np.all(bias <= delta0 + 3 * std_err)
