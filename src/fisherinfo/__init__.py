@@ -2,9 +2,11 @@
 finite-sample error bounds and sample-complexity calculators for data
 observed through additive Gaussian noise."""
 
+# Set before the submodule imports: experiments reads it into report metadata.
+__version__ = "0.1.0"
+
 from .bounds import (
     ComplexityResult,
-    ComplexitySearchSpec,
     GaussianBoundConstants,
     TailModel,
     bhattacharya_error_bound,
@@ -72,5 +74,3 @@ from .kernels import (
 )
 from .quadrature import integrate, integrate_values, simpson_nodes
 from .samples import SampleSet
-
-__version__ = "0.1.0"

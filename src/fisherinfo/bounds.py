@@ -122,6 +122,7 @@ def _gamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.gamma, x.tolist()), float, x.size)
 
 
+
 def _lemma2_objective(v, gamma_v_half, log_base):
     """2 Gamma(v+1/2)^(1/(1+v)) pi^(-1/(2(1+v))) e^(v/(1+v) log_base), given
     gamma_v_half = Gamma(v+1/2)."""
@@ -133,25 +134,22 @@ def _lemma2_objective(v, gamma_v_half, log_base):
     return prefactor * np.exp(v / (1.0 + v) * log_base)
 
 
-def _minimize_over_v(log_base: np.ndarray, v_grid: np.ndarray) -> np.ndarray:
-    """Minimum over v of the Lemma 2 objective, per entry of log_base.
+def _golden_minimum(objective, grid, values, iters):
+    """Per-row minimum of objective: a scan, then a golden-section search.
 
-    A scan of v_grid brackets each minimum; a golden-section refinement
-    then runs on all brackets at once, each entry taking its own branch.
+    values[j] is row j's objective scanned on grid; the neighbours of each
+    row's scan minimum bracket a golden-section refinement that runs on all
+    rows at once, each row taking its own branch. objective maps one abscissa
+    per row to one value per row, and is taken to be unimodal on each
+    bracket. Returns (abscissa, value) per row, never worse than the scan.
     """
-    vals = _lemma2_objective(v_grid, _gamma(v_grid + 0.5), log_base[:, None])
-    i = np.argmin(vals, axis=1)
-    a = v_grid[np.maximum(i - 1, 0)]
-    b = v_grid[np.minimum(i + 1, v_grid.size - 1)]
-
-    def objective(v):
-        return _lemma2_objective(v, _gamma(v + 0.5), log_base)
-
-    # The objective is smooth and unimodal in practice on each bracket.
+    i = np.argmin(values, axis=1)
+    a = grid[np.maximum(i - 1, 0)]
+    b = grid[np.minimum(i + 1, grid.size - 1)]
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = objective(x1), objective(x2)
-    for _ in range(60):
+    for _ in range(iters):
         left = f1 <= f2
         b = np.where(left, x2, b)
         a = np.where(left, a, x1)
@@ -159,16 +157,13 @@ def _minimize_over_v(log_base: np.ndarray, v_grid: np.ndarray) -> np.ndarray:
         f_new = objective(x_new)
         x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
         f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-    return np.minimum(np.minimum(f1, f2), vals[np.arange(i.size), i])
+    scanned = values[np.arange(i.size), i]
+    x = np.where(f1 <= f2, x1, x2)
+    f = np.minimum(f1, f2)
+    return np.where(f < scanned, x, grid[i]), np.minimum(f, scanned)
 
 
-def lemma2_tail(
-    k_n,
-    snr: float,
-    second_moment: float,
-    alpha: float | None = None,
-    v_search_grid: np.ndarray | None = None,
-):
+def lemma2_tail(k_n, snr: float, second_moment: float, alpha: float | None = None):
     """Upper bound on the Fisher-information mass outside [-k_n, k_n].
 
     Minimizes over the Holder exponent v > 0. Always evaluates the
@@ -181,14 +176,19 @@ def lemma2_tail(
     k = np.asarray(k_n, dtype=float)
     if not np.all(k > 0):
         raise ValueError("k_n must be positive")
-    grid = _V_GRID if v_search_grid is None else np.asarray(v_search_grid, float)
     k_sq = k.ravel() ** 2
     log_base = np.log((snr * second_moment + 1.0) / k_sq)
     if alpha is not None:
         sub_g = math.log(2.0) + (alpha**2 * snr - k_sq) / 2.0
         log_base = np.concatenate([log_base, sub_g])
+
+    def objective(v):
+        return _lemma2_objective(v, _gamma(v + 0.5), log_base)
+
+    scan = _lemma2_objective(_V_GRID, _gamma(_V_GRID + 0.5), log_base[:, None])
+    _, tail = _golden_minimum(objective, _V_GRID, scan, 60)
     # One row per branch; the bound is the smaller of the two.
-    out = _minimize_over_v(log_base, grid).reshape(-1, *k.shape).min(axis=0)
+    out = tail.reshape(-1, *k.shape).min(axis=0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -368,12 +368,11 @@ def clipped_error_bound_two_sided(
     )
 
 
-def channel_score_integrals(
-    model: ChannelModel, k_n: float, grid_points: int = 2001
-) -> tuple[float, float]:
-    """(int |rho_Y|, int rho_Y^2) over [-k_n, k_n] for a built-in channel."""
-    phi1 = integrate(lambda t: np.abs(true_score(model, t)), -k_n, k_n, grid_points)
-    phi2 = integrate(lambda t: true_score(model, t) ** 2, -k_n, k_n, grid_points)
+def channel_score_integrals(model: ChannelModel, k_n: float) -> tuple[float, float]:
+    """(int |rho_Y|, int rho_Y^2) over [-k_n, k_n] for a built-in channel,
+    by Simpson's rule on 2001 nodes."""
+    phi1 = integrate(lambda t: np.abs(true_score(model, t)), -k_n, k_n, 2001)
+    phi2 = integrate(lambda t: true_score(model, t) ** 2, -k_n, k_n, 2001)
     return phi1, phi2
 
 
@@ -543,19 +542,20 @@ class ComplexityResult:
         }
 
 
-@dataclass(frozen=True)
-class ComplexitySearchSpec:
-    """Deterministic grids for the sample-complexity optimization."""
-
-    k_grid: np.ndarray = None
-    e0_points: int = 60
-    e1_points: int = 72
-    log10_n_max: float = 40.0
-    bisect_iters: int = 60
-
-    def __post_init__(self):
-        if self.k_grid is None:
-            object.__setattr__(self, "k_grid", np.linspace(0.8, 8.0, 60))
+#: Search grids: truncation half-widths k_n, and log eps1 per estimator.
+_K_GRID = np.linspace(0.8, 8.0, 60)
+_LOG_E1_GRID = {
+    EstimatorKind.BHATTACHARYA: np.log(np.geomspace(1e-7, 1.0, 72)),
+    EstimatorKind.CLIPPED: np.log(np.geomspace(1e-9, 0.5, 72)),
+}
+#: Zoom passes over k around the incumbent, points per pass, golden-section
+#: iterations over log eps1 at each k, and Newton steps of the n solve.
+_ZOOM_PASSES, _ZOOM_POINTS, _GOLDEN_ITERS, _NEWTON_STEPS = 3, 9, 12, 4
+_LOG10_N_MAX = 40.0
+#: Relative margin of eps0 inside the precision boundary: far above the
+#: rounding of the closed form, so the bound checked at eps0 meets the
+#: target as the public evaluators compute it.
+_EPS0_MARGIN = 1e-12
 
 
 def _concentration_rates(e0, e1):
@@ -565,92 +565,102 @@ def _concentration_rates(e0, e1):
     return a0, a1, deviation_rate(0, a0, e0), deviation_rate(1, a1, e1)
 
 
-#: Relative slack when pruning by bracket: far above the rounding error of
-#: the bracket ends and of the bisection, so no possible tie is pruned.
-_BRACKET_MARGIN = 1e-9
+def _solve_log10_n(rate0, rate1, target_perr):
+    """Smallest log10 n in [1, _LOG10_N_MAX] with 2 e^(-A0 n) + 2 e^(-A1 n)
+    <= target_perr, per entry; inf where there is none.
 
-
-def _vector_bisect_log10n(rate0, rate1, target_perr, lo, hi, iters):
-    """Smallest log10 n with 2 e^(-A0 n) + 2 e^(-A1 n) <= target, per entry."""
-
-    def conf(l10):
-        n = 10.0**l10
-        return 2.0 * np.exp(-rate0 * n) + 2.0 * np.exp(-rate1 * n)
-
-    lo_v = np.full_like(rate0, lo)
-    hi_v = np.full_like(rate0, hi)
-    feasible = conf(hi_v) <= target_perr
-    for _ in range(iters):
-        mid = 0.5 * (lo_v + hi_v)
-        ok = conf(mid) <= target_perr
-        hi_v = np.where(ok, mid, hi_v)
-        lo_v = np.where(ok, lo_v, mid)
-    return np.where(feasible, hi_v, np.inf)
-
-
-def _complexity_pass(
-    estimator: EstimatorKind,
-    channel: ChannelModel,
-    tail: TailModel,
-    k_grid: np.ndarray,
-    b0_grid: np.ndarray,
-    e1_grid: np.ndarray,
-    target_eps: float,
-    target_perr: float,
-    spec: ComplexitySearchSpec,
-):
-    """One grid pass of the sample-complexity search.
-
-    For the plug-in estimator b0 is the dimensionless budget
-    x0 = eps0 * phi(k) in (0, 1); for the clipped estimator b0 is eps0
-    directly. Returns (best tuple or None, smallest precision seen).
+    With m = min(A0, A1) and g = |A0 - A1|, h(n) = ln(2/p) - m n +
+    ln(1 + e^(-g n)) is the log of the confidence over p: convex and
+    decreasing, with its root in [ln(2/p)/m, ln(4/p)/m]. Newton steps from
+    the lower end climb to the root without passing it; since h' <= -m, a
+    last step h/m lands at or past it. Where rounding leaves the confidence
+    as computed above p, log10 n moves up one ulp; any entry still above
+    is inf.
     """
-    c_grid = tail.c_tail(k_grid)
-    b0g, e1g = np.meshgrid(b0_grid, e1_grid, indexing="ij")
-    log_2_p, log_4_p = math.log(2.0 / target_perr), math.log(4.0 / target_perr)
-    best_prec = np.inf
-    best_upper = spec.log10_n_max
-    survivors = []
-    for k, c_k in zip(k_grid, c_grid):
-        if estimator is EstimatorKind.BHATTACHARYA:
-            phi_k = float(tail.phi(k))
-            e0g = b0g / phi_k
-            prec = _plugin_error(b0g, e1g, k, phi_k, tail.rho_max(k)) + c_k
-        else:
-            phi1_max, phi2_max = tail.rho_bar_integrals(k)
-            if channel.input is InputLaw.CUSTOM:
-                score_phi1, score_phi2 = phi1_max, phi2_max
-            else:
-                score_phi1, score_phi2 = channel_score_integrals(channel, k)
-            e0g = b0g
-            prec = _clipped_two_sided(
-                e0g, e1g, phi1_max, phi2_max, score_phi1, score_phi2, c_k
-            )
-        best_prec = min(best_prec, float(prec.min()))
-        mask = prec <= target_eps
-        if not mask.any():
-            continue
-        e0m, e1m = e0g[mask], e1g[mask]
-        a0m, a1m, r0, r1 = _concentration_rates(e0m, e1m)
-        # Bracket of the bisection's answer; see sample_complexity.
-        rate = np.minimum(r0, r1)
-        with np.errstate(divide="ignore"):
-            lower = np.clip(np.log10(log_2_p / rate), 1.0, spec.log10_n_max)
-            upper = np.clip(np.log10(log_4_p / rate), 1.0, spec.log10_n_max)
-        best_upper = min(best_upper, float(upper.min()))
-        win = lower <= best_upper * (1.0 + _BRACKET_MARGIN)
-        point = (np.full(e0m.size, k), b0g[mask], e0m, e1m, a0m, a1m, r0, r1)
-        survivors.append([column[win] for column in point])
-    if not survivors:
-        return None, best_prec
-    *point, r0, r1 = (np.concatenate(column) for column in zip(*survivors))
-    log10n = _vector_bisect_log10n(
-        r0, r1, target_perr, 1.0, spec.log10_n_max, spec.bisect_iters
-    )
-    i = int(np.argmin(log10n))
-    if not np.isfinite(log10n[i]):
-        return None, best_prec
-    return tuple(float(column[i]) for column in (log10n, *point)), best_prec
+    m, g = np.minimum(rate0, rate1), np.abs(rate0 - rate1)
+    log_2_p = math.log(2.0 / target_perr)
+    out = np.full(m.shape, np.inf)
+    live = m * 10.0**_LOG10_N_MAX >= log_2_p
+    m, g, rate0, rate1 = m[live], g[live], rate0[live], rate1[live]
+
+    def h_and_slope(n):
+        t = np.exp(-g * n)
+        return log_2_p - m * n + np.log1p(t), m + g * t / (1.0 + t)
+
+    n = log_2_p / m
+    for _ in range(_NEWTON_STEPS):
+        h, slope = h_and_slope(n)
+        n = n + h / slope
+    l10 = np.maximum(np.log10(n + np.maximum(h_and_slope(n)[0], 0.0) / m), 1.0)
+
+    def short(l10):
+        n = 10.0**l10
+        return 2.0 * np.exp(-rate0 * n) + 2.0 * np.exp(-rate1 * n) > target_perr
+
+    l10 = np.where(short(l10), np.nextafter(l10, np.inf), l10)
+    out[live] = np.where(short(l10) | (l10 > _LOG10_N_MAX), np.inf, l10)
+    return out
+
+
+def _precision(estimator, consts, e0, e1):
+    """The Theorem 2 or Theorem 4 (max form) bound, as the public
+    evaluators compute it."""
+    if estimator is EstimatorKind.BHATTACHARYA:
+        k, phi, rho, c = consts
+        return _plugin_error(e0 * phi, e1, k, phi, rho) + c
+    return _clipped_two_sided(e0, e1, *consts)
+
+
+def _certify(estimator, consts, e1, target_eps, target_perr):
+    """(log10 n, eps0, a0, a1) at eps1, with eps0 a relative _EPS0_MARGIN
+    below the largest value whose bound meets target_eps; log10 n is inf
+    where the bound at that eps0 misses it. consts broadcast against e1.
+
+    Plug-in: with d = eps - c and x0 = eps0 phi < 1, the bound meets eps iff
+    x0 <= (d - 4 eps1 k rho - 2 eps1^2 k phi) / (1 + d), which needs d > 0.
+    Clipped: both arms of the max are affine in eps0.
+    """
+    if estimator is EstimatorKind.BHATTACHARYA:
+        k, phi, rho, c = consts
+        d = np.where(c < target_eps, target_eps - c, np.nan)
+        e0 = (d - 4.0 * e1 * k * rho - 2.0 * e1**2 * k * phi) / (1.0 + d) / phi
+    else:
+        m1, m2, s1, s2, c = consts
+        e0 = np.minimum(
+            (target_eps - c - 4.0 * e1 * s1) / (2.0 * s2),
+            (target_eps - 3.0 * e1 * m1) / m2,
+        )
+    e0 = e0 * (1.0 - _EPS0_MARGIN)
+    e1 = np.broadcast_to(e1, e0.shape)
+    ok = (e0 > 0) & (_precision(estimator, consts, e0, e1) <= target_eps)
+    a0, a1, r0, r1 = _concentration_rates(e0, e1)
+    log10_n = np.full(e0.shape, np.inf)
+    log10_n[ok] = _solve_log10_n(r0[ok], r1[ok], target_perr)
+    return log10_n, e0, a0, a1
+
+
+def _best_per_k(estimator, channel, tail, k, target_eps, target_perr):
+    """Per k: the smallest log10 n over log eps1 and its log eps1, plus the
+    per-k constants of the bound, in the order _precision reads them."""
+    c = tail.c_tail(k)
+    if estimator is EstimatorKind.BHATTACHARYA:
+        consts = (k, tail.phi(k), tail.rho_max(k), c)
+    else:
+        m1, m2 = tail.rho_bar_integrals(k)
+        s1, s2 = (m1, m2) if channel.input is InputLaw.CUSTOM else np.array(
+            [channel_score_integrals(channel, x) for x in k]
+        ).T
+        consts = (m1, m2, s1, s2, c)
+    grid = _LOG_E1_GRID[estimator]
+    scan = _certify(
+        estimator, [v[:, None] for v in consts], np.exp(grid), target_eps, target_perr
+    )[0]
+
+    def objective(log_e1):
+        return _certify(estimator, consts, np.exp(log_e1), target_eps, target_perr)[0]
+
+    log_e1, log10_n = _golden_minimum(objective, grid, scan, _GOLDEN_ITERS)
+    return log10_n, log_e1, consts
 
 
 def sample_complexity(
@@ -658,22 +668,18 @@ def sample_complexity(
     target_perr: float,
     estimator: EstimatorKind,
     channel: ChannelModel,
-    spec: ComplexitySearchSpec | None = None,
 ) -> ComplexityResult:
     """Smallest sample size guaranteeing |estimate - truth| <= target_eps
-    with probability >= 1 - target_perr, by grid search over the free
-    parameters (k_n, eps0, eps1) with per-point optimal bandwidths and
-    bisection on log10 n.
+    with probability >= 1 - target_perr, by search over (k_n, eps1) with
+    eps0 on the precision boundary, per-point optimal bandwidths and a
+    Newton solve for n.
 
-    The precision term is n-free, so each grid point is first screened
-    against target_eps. The confidence 2 e^(-A0 n) + 2 e^(-A1 n) lies
-    between 2 e^(-m n) and 4 e^(-m n) with m = min(A0, A1), so the n that
-    brings it down to target_perr lies in [ln(2/p)/m, ln(4/p)/m]. A point
-    whose lower end (in log10 n, clamped to the bisection range) exceeds
-    another point's upper end cannot win, and only the remaining points
-    enter the confidence bisection. A global grid pass is followed by zoom
-    refinement passes around the incumbent optimum. Deterministic for a
-    fixed search spec; ties are broken by grid order (k, eps0, eps1).
+    At fixed (k_n, eps1) the bound and the density rate A0 both increase in
+    eps0, so the best eps0 is the largest the precision target allows; it
+    has a closed form (_certify). For each k on _K_GRID, a scan of the log
+    eps1 grid and a golden-section search on the bracket it finds give the
+    best eps1; zoom passes over k around the incumbent follow, never
+    dropping it. Deterministic; ties go to the first k.
     """
     if not (0.0 < target_eps <= 1.0):
         raise ValueError("target_eps must lie in (0, 1]")
@@ -681,55 +687,35 @@ def sample_complexity(
         raise ValueError("target_perr must lie in (0, 1)")
     if estimator not in (EstimatorKind.BHATTACHARYA, EstimatorKind.CLIPPED):
         raise ValueError("sample_complexity supports the Fisher estimators only")
-    spec = spec or ComplexitySearchSpec()
     tail = tail_model_for_channel(channel)
 
-    k_grid = np.asarray(spec.k_grid, dtype=float)
-    if estimator is EstimatorKind.BHATTACHARYA:
-        b0_grid = np.geomspace(1e-6, 0.999, spec.e0_points)
-        e1_grid = np.geomspace(1e-7, 1.0, spec.e1_points)
-    else:
-        b0_grid = np.geomspace(1e-9, 0.5, spec.e0_points)
-        e1_grid = np.geomspace(1e-9, 0.5, spec.e1_points)
-
-    best, best_prec = _complexity_pass(
-        estimator, channel, tail, k_grid, b0_grid, e1_grid,
-        target_eps, target_perr, spec,
-    )
-    if best is not None:
-        dk = float(k_grid[1] - k_grid[0]) if k_grid.size > 1 else 0.5
-        r0 = b0_grid[1] / b0_grid[0]
-        r1 = e1_grid[1] / e1_grid[0]
-        for _ in range(3):
-            _, k, b0, _, e1, _, _ = best
-            k_local = np.linspace(max(k - dk, 1e-3), k + dk, 9)
-            b0_local = np.geomspace(b0 / r0, min(b0 * r0, 0.999), 17)
-            e1_local = np.geomspace(e1 / r1, e1 * r1, 17)
-            refined, _ = _complexity_pass(
-                estimator, channel, tail, k_local, b0_local, e1_local,
-                target_eps, target_perr, spec,
-            )
-            if refined is None or refined[0] >= best[0]:
-                break
-            best = refined
-            dk /= 4.0
-            r0 = r0 ** (1.0 / 8.0)
-            r1 = r1 ** (1.0 / 8.0)
-    if best is None:
-        raise InfeasibleTargetError(
-            f"no parameters reach precision {target_eps} with confidence "
-            f"{target_perr} within n <= 1e{spec.log10_n_max:g}",
-            best_precision=best_prec,
+    k_grid, best = _K_GRID, None
+    dk = float(k_grid[1] - k_grid[0])
+    for _ in range(1 + _ZOOM_PASSES):
+        log10_n, log_e1, consts = _best_per_k(
+            estimator, channel, tail, k_grid, target_eps, target_perr
         )
-    log10_n, k, _, e0, e1, a0, a1 = best
+        i = int(np.argmin(log10_n))
+        if best is None and not np.isfinite(log10_n[i]):
+            # The bounds increase in eps0 and eps1, so this is the smallest
+            # precision on the (k, eps1) grid; fmin skips the NaN of a k
+            # where phi(k) overflows.
+            e1_min = math.exp(_LOG_E1_GRID[estimator][0])
+            prec = _precision(estimator, consts, 0.0, e1_min)
+            raise InfeasibleTargetError(
+                f"no parameters reach precision {target_eps} with confidence "
+                f"{target_perr} within n <= 1e{_LOG10_N_MAX:g}",
+                best_precision=float(np.fmin.reduce(prec)),
+            )
+        if best is None or log10_n[i] < best[0]:
+            best = (log10_n[i], k_grid[i], log_e1[i], [v[i : i + 1] for v in consts])
+        k_grid = np.linspace(max(best[1] - dk, 1e-3), best[1] + dk, _ZOOM_POINTS)
+        dk /= 4.0
+    _, k, log_e1, consts = best
+    e1 = np.exp([log_e1])
+    log10_n, e0, a0, a1 = (
+        float(v[0]) for v in _certify(estimator, consts, e1, target_eps, target_perr)
+    )
     return ComplexityResult(
-        log10_n=log10_n,
-        estimator=estimator,
-        k_n=k,
-        eps0=e0,
-        eps1=e1,
-        a0=a0,
-        a1=a1,
-        target_eps=target_eps,
-        target_perr=target_perr,
+        log10_n, estimator, float(k), e0, float(e1[0]), a0, a1, target_eps, target_perr
     )

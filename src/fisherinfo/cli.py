@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 import numpy as np
@@ -214,6 +213,8 @@ def cmd_bounds(args) -> int:
             payload["p_err"] = bounds_mod.confidence_bound(
                 args.n, EstimatorKind.CLIPPED, w0=args.w0, w1=args.w1
             )
+        # A sum of two tails, each capped at 2: at 1 or more it bounds nothing.
+        payload["vacuous"] = payload["p_err"] >= 1.0
     _print_json(payload)
     return EXIT_OK
 
@@ -228,8 +229,6 @@ def cmd_complexity(args) -> int:
 
 def cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json_file(args.config)
-    if args.threads is not None:
-        config = dataclasses.replace(config, threads=args.threads)
     report = run_experiment(config)
     paths = report.write(config.output_path)
     print("wrote " + ", ".join(str(p) for p in paths))
@@ -242,12 +241,6 @@ def cmd_experiment(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fisherinfo", description=__doc__)
-    default_threads = os.environ.get("FISHERINFO_THREADS")
-    parser.add_argument(
-        "--threads", type=int,
-        default=int(default_threads) if default_threads else None,
-        help="cap harness concurrency (default: FISHERINFO_THREADS or 1)",
-    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("estimate", help="estimate Fisher information or MMSE")

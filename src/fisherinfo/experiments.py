@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .bounds import sample_complexity
 from .channel import (
     ChannelModel,
@@ -52,13 +53,6 @@ from .estimators import (
     lemma_clip_envelope,
     mmse_from_fisher,
 )
-
-try:  # pragma: no cover - exercised only outside an installed package
-    from importlib.metadata import version as _pkg_version
-
-    _VERSION = _pkg_version("fisherinfo")
-except Exception:  # pragma: no cover
-    _VERSION = "unknown"
 
 
 class ExperimentKind(enum.Enum):
@@ -218,7 +212,7 @@ class ExperimentReport:
 
 
 def _metadata(config: ExperimentConfig) -> dict:
-    return {"config": config.to_dict(), "version": _VERSION}
+    return {"config": config.to_dict(), "version": __version__}
 
 
 def _check_kind(config: ExperimentConfig, expected: ExperimentKind):

@@ -19,10 +19,10 @@ from fisherinfo import (
     lemma_clip_envelope,
     true_score,
 )
+from fisherinfo import bounds as bounds_mod
 from fisherinfo.bounds import (
-    ComplexitySearchSpec,
     GaussianBoundConstants,
-    _vector_bisect_log10n,
+    _solve_log10_n,
     bhattacharya_error_bound,
     bhattacharya_precision,
     channel_score_integrals,
@@ -594,39 +594,57 @@ class TestSampleComplexity:
         easy = sample_complexity(0.7, 0.2, EstimatorKind.CLIPPED, model)
         assert easy.log10_n < hard.log10_n
 
-    def test_custom_search_spec_respected(self):
-        model = gaussian_channel(1.0)
-        tiny = ComplexitySearchSpec(
-            k_grid=np.linspace(2.0, 4.0, 8), e0_points=16, e1_points=16,
-        )
-        res = sample_complexity(0.5, 0.2, EstimatorKind.CLIPPED, model, tiny)
-        assert 2.0 <= res.k_n <= 4.0
-
     @settings(max_examples=300, deadline=None)
     @given(
         rate0=st.floats(1e-30, 1.0),
         rate1=st.floats(1e-30, 1.0),
         perr=st.floats(1e-6, 0.99, exclude_min=True, exclude_max=True),
     )
-    def test_bisection_lies_in_pruning_bracket(self, rate0, rate1, perr):
-        # The search prunes points by this bracket:
-        # 2 e^(-m n) <= 2 e^(-A0 n) + 2 e^(-A1 n) <= 4 e^(-m n), m = min(A0, A1).
-        lo, hi, iters = 1.0, 40.0, 60
-        got = _vector_bisect_log10n(
-            np.array([rate0]), np.array([rate1]), perr, lo, hi, iters
-        )[0]
+    def test_n_solve_is_feasible_and_tight(self, rate0, rate1, perr):
+        # 2 e^(-m n) <= 2 e^(-A0 n) + 2 e^(-A1 n) <= 4 e^(-m n), m = min(A0, A1),
+        # so the root lies in [ln(2/p)/m, ln(4/p)/m], clamped to [10, 1e40].
+        r0, r1 = np.array([rate0]), np.array([rate1])
+        got = _solve_log10_n(r0, r1, perr)
+
+        def confidence(n):
+            # As the search computes it: feasibility is exact, not approximate.
+            return (2.0 * np.exp(-r0 * n) + 2.0 * np.exp(-r1 * n))[0]
+
         m = min(rate0, rate1)
-        lower = min(max(math.log10(math.log(2.0 / perr) / m), lo), hi)
-        upper = min(max(math.log10(math.log(4.0 / perr) / m), lo), hi)
-        # (hi - lo) / 2^iters is below rounding; allow for rounding of the ends.
-        tol = 1e-12
-        assert lower - tol <= got <= upper + tol
+        lower = min(max(math.log10(math.log(2.0 / perr) / m), 1.0), 40.0)
+        upper = min(max(math.log10(math.log(4.0 / perr) / m), 1.0), 40.0)
+        assert lower - 1e-12 <= got[0] <= upper + 1e-12
+        n = 10.0**got
+        assert confidence(n) <= perr
+        if got[0] > 1.0:  # not clamped to the smallest n searched
+            assert confidence(n * (1.0 - 1e-9)) > perr
 
     # log10 n per (eps, p_err) cell of the 9+9-cell table on
-    # gaussian_channel(1.0), recorded from the one-k-at-a-time search with a
-    # bisection of every feasible grid point: (eps, p_err, plug-in, clipped).
-    # The (0.5, 0.2) cell lies on both sweeps and is listed once.
+    # gaussian_channel(1.0): (eps, p_err, plug-in, clipped). The (0.5, 0.2)
+    # cell lies on both sweeps and is listed once. RECORDED_TABLE is the
+    # boundary search's answer; GRID_SEARCH_TABLE is the earlier 3-D grid
+    # search over (k_n, eps0, eps1), which the boundary search must not lose
+    # to.
     RECORDED_TABLE = [
+        (0.1, 0.2, 29.940046051698335, 19.973355451205276),
+        (0.2, 0.2, 25.934096408695645, 17.805859271719875),
+        (0.3, 0.2, 23.620791150883303, 16.491618250368493),
+        (0.4, 0.2, 21.996039754564315, 15.527679804851168),
+        (0.5, 0.2, 20.744380991516483, 14.755973718306809),
+        (0.6, 0.2, 19.72542023910187, 14.100216498459218),
+        (0.7, 0.2, 18.864497406946032, 13.52859467916398),
+        (0.8, 0.2, 18.117166339125152, 13.009220682294863),
+        (0.9, 0.2, 17.45474781359121, 12.529865886608047),
+        (0.5, 0.1, 20.835144733120813, 14.860624207297086),
+        (0.5, 0.3, 20.680874154264966, 14.680008517177237),
+        (0.5, 0.4, 20.629387596066, 14.61627898337431),
+        (0.5, 0.5, 20.584735032003998, 14.556725944874934),
+        (0.5, 0.6, 20.544458499304355, 14.502255033533453),
+        (0.5, 0.7, 20.507173132435938, 14.450724868258321),
+        (0.5, 0.8, 20.472002932935617, 14.400046672063649),
+        (0.5, 0.9, 20.438328422081735, 14.349275358624839),
+    ]
+    GRID_SEARCH_TABLE = [
         (0.1, 0.2, 30.02966632752025, 20.02408020632855),
         (0.2, 0.2, 25.969161221337593, 17.80677190169347),
         (0.3, 0.2, 23.621263659856865, 16.530804968388605),
@@ -671,3 +689,36 @@ class TestSampleComplexity:
                                (EstimatorKind.CLIPPED, clip)):
                 got = sample_complexity(eps, perr, kind, model).log10_n
                 assert got == pytest.approx(want, rel=1e-12), (eps, perr, kind)
+
+    def test_table_no_worse_than_grid_search(self):
+        model = gaussian_channel(1.0)
+        for eps, perr, plug, clip in self.GRID_SEARCH_TABLE:
+            for kind, bound in ((EstimatorKind.BHATTACHARYA, plug),
+                                (EstimatorKind.CLIPPED, clip)):
+                got = sample_complexity(eps, perr, kind, model).log10_n
+                assert got <= bound + 1e-12, (eps, perr, kind)
+
+    @pytest.mark.parametrize("factory", [gaussian_channel, binary_channel])
+    def test_sweeps_strictly_decreasing(self, factory):
+        # A looser precision or confidence target never needs more samples.
+        model = factory(1.0)
+        steps = [round(0.1 * i, 1) for i in range(1, 10)]
+        for kind in (EstimatorKind.BHATTACHARYA, EstimatorKind.CLIPPED):
+            by_eps = [sample_complexity(e, 0.2, kind, model).log10_n for e in steps]
+            by_perr = [sample_complexity(0.5, p, kind, model).log10_n for p in steps]
+            for sweep in (by_eps, by_perr):
+                assert all(b < a for a, b in zip(sweep, sweep[1:])), (kind, sweep)
+
+    def test_finer_k_grid_never_worse(self, monkeypatch):
+        # The converged search: the nested 2x refinement of the k grid finds
+        # nothing the default grid misses.
+        model = gaussian_channel(1.0)
+        coarse = bounds_mod._K_GRID
+        cells = [(eps, perr, kind) for eps, perr, _, _ in self.RECORDED_TABLE
+                 for kind in (EstimatorKind.BHATTACHARYA, EstimatorKind.CLIPPED)]
+        default = [sample_complexity(*cell, model).log10_n for cell in cells]
+        monkeypatch.setattr(
+            bounds_mod, "_K_GRID", np.linspace(coarse[0], coarse[-1], 2 * coarse.size - 1)
+        )
+        for cell, want in zip(cells, default):
+            assert sample_complexity(*cell, model).log10_n <= want + 1e-12, cell

@@ -7,11 +7,13 @@ import pytest
 
 from fisherinfo import (
     EstimatorConfig,
+    EstimatorKind,
     SampleSet,
     bhattacharya,
     gaussian_channel,
     sample_channel,
 )
+from fisherinfo.bounds import confidence_bound
 from fisherinfo.cli import main
 
 
@@ -172,6 +174,32 @@ class TestBounds:
         )
         assert code == 1
         assert "nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "argv, vacuous",
+        [
+            (("--theorem", "5", "--n", "1e12", "--u", "0.05", "--w", "0.16",
+              "--alpha", "1"), True),
+            (("--theorem", "6", "--n", "50", "--u", "0.01", "--w0", "0.24",
+              "--w1", "0.16"), True),
+            (("--theorem", "5", "--n", "1e20", "--u", "0.05", "--w", "0.15",
+              "--alpha", "1"), False),
+        ],
+    )
+    def test_vacuous_confidence_flagged(self, capsys, argv, vacuous):
+        code, out, _ = run_cli(
+            capsys, "bounds", *argv, "--snr", "1", "--var", "1", "--ex2", "1"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["vacuous"] is vacuous
+        assert (payload["p_err"] >= 1.0) is vacuous
+        # The raw tail sum is printed unclipped.
+        kind = EstimatorKind.BHATTACHARYA if argv[1] == "5" else EstimatorKind.CLIPPED
+        flags = dict(zip(argv[::2], argv[1::2]))
+        widths = {k.lstrip("-"): float(flags[k]) for k in ("--w", "--w0", "--w1")
+                  if k in flags}
+        assert payload["p_err"] == confidence_bound(float(flags["--n"]), kind, **widths)
 
     def test_missing_moments_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bounds", "--theorem", "2", "--kn", "2")

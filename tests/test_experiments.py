@@ -3,11 +3,13 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fisherinfo
 from fisherinfo import (
     EstimatorConfig,
     EstimatorKind,
@@ -18,6 +20,7 @@ from fisherinfo import (
     true_fisher,
 )
 from fisherinfo.experiments import (
+    _metadata,
     run_complexity,
     run_density_overlay,
     run_experiment,
@@ -233,6 +236,15 @@ class TestComplexity:
         report = run_complexity(config)
         assert math.isinf(report.series.rows[0, 3])
         assert report.summary["infeasible_cells"] == 1
+
+
+class TestMetadata:
+    def test_version_is_the_package_version(self):
+        # Report bytes must not depend on whether the package is installed.
+        pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"', pyproject, re.MULTILINE)
+        version = _metadata(_config())["version"]
+        assert version == fisherinfo.__version__ == declared.group(1)
 
 
 class TestDispatch:
