@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .bounds import (
     ComplexityResult,
-    GaussianBoundConstants,
     TailModel,
     bhattacharya_error_bound,
     bhattacharya_precision,

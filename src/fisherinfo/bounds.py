@@ -5,19 +5,22 @@ plug-in (Bhattacharya) and clipped Fisher-information estimators under
 Gaussian-noise data:
 
 * deterministic error bounds given sup-norm estimation errors (eps0, eps1)
-  on the density and its derivative over [-k_n, k_n];
-* the Gaussian-channel constants (inverse-density envelope phi, score
+  on the density and its derivative over [-k_n, k_n] (Theorems 2-4), all
+  reading the sampled density through one TailModel;
+* the Gaussian-channel TailModel (inverse-density envelope phi, score
   envelope rho_max and its integrals, tail mass c(k_n));
-* precision/confidence schedules for the specific bandwidth and
-  truncation growth rates a = n^-w, k_n = sqrt(u log n) (plug-in) and
-  a_r = n^-w_r, k_n = n^u (clipped);
+* the precision/confidence schedules (Theorems 5 and 6): Theorems 2 and 4
+  at a = n^-w, k_n = sqrt(u log n) (plug-in) and a_r = n^-w_r, k_n = n^u
+  (clipped);
 * a numeric search for the smallest sample size guaranteeing a target
   precision with a target confidence.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +33,8 @@ from .kernels import deviation_rate, rate_optimal_bandwidth
 from .quadrature import integrate
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+#: Largest x with sqrt(2 pi) e^x finite, less a margin for the rounding of exp.
+_PHI_EXP_MAX = math.log(sys.float_info.max / _SQRT_2PI) - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -40,74 +45,20 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class TailModel:
     """Envelopes and tail functionals of the (unknown) sampled density.
 
-    phi(x) bounds 1/f on [-x, x]; rho_max(k) bounds sup_{|t|<=k} |f'/f|;
-    rho_bar_integrals(k) is (int |rho_bar|, int rho_bar^2) over [-k, k] for
-    a pointwise score envelope rho_bar; c_tail(k) bounds the
-    Fisher-information mass outside [-k, k]; f0 bounds sup f.
+    phi(x) bounds 1/f on [-x, x] (inf where it overflows); rho_max(k)
+    bounds sup_{|t|<=k} |f'/f|; rho_bar_integrals(k) is (int |rho_bar|,
+    int rho_bar^2) over [-k, k] for a pointwise score envelope rho_bar, and
+    score_integrals(k) the same for the true score, or for rho_bar where
+    the score is unknown; c_tail(k) bounds the Fisher-information mass
+    outside [-k, k]; f0 bounds sup f. Each accepts scalar or array k.
     """
 
     phi: Callable[[float], float]
     rho_max: Callable[[float], float]
     rho_bar_integrals: Callable[[float], tuple[float, float]]
+    score_integrals: Callable[[float], tuple[float, float]]
     c_tail: Callable[[float], float]
     f0: float | None = None
-
-
-@dataclass(frozen=True)
-class GaussianBoundConstants:
-    """The constants entering the Gaussian-channel precision/confidence
-    schedules, fully determined by (snr, Var(X), E[X^2], alpha)."""
-
-    snr: float
-    variance: float
-    second_moment: float
-    alpha: float | None = None
-
-    def __post_init__(self):
-        if not self.snr > 0:
-            raise ValueError("snr must be positive")
-        if self.variance < 0 or self.second_moment < self.variance:
-            raise ValueError("need second_moment >= variance >= 0")
-
-    @property
-    def c1(self) -> float:
-        """Rate constant of the density tail: with eps0 = a0 = n^-w0 its
-        exponent is c1 n^(1-4 w0)."""
-        return deviation_rate(0, 1.0, 1.0)
-
-    @property
-    def c2(self) -> float:
-        """Rate constant of the derivative tail: with eps1 = a1 = n^-w1 its
-        exponent is c2 n^(1-6 w1)."""
-        return deviation_rate(1, 1.0, 1.0)
-
-    @property
-    def c3(self) -> float:
-        return math.sqrt(3.0 * self.snr * self.variance)
-
-    @property
-    def c4(self) -> float:
-        return (
-            2.0
-            * math.sqrt(math.gamma(1.5))
-            * math.sqrt(self.snr * self.second_moment + 1.0)
-            / math.pi**0.25
-        )
-
-    @property
-    def c5(self) -> float:
-        return _SQRT_2PI * math.exp(self.snr * self.second_moment)
-
-    @property
-    def c6(self) -> float:
-        if self.alpha is None:
-            raise ValueError("c6 requires a sub-Gaussian proxy alpha")
-        return (
-            2.0**1.5
-            * math.sqrt(math.gamma(1.5))
-            * math.exp(self.alpha**2 * self.snr / 4.0)
-            / math.pi**0.25
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +67,12 @@ class GaussianBoundConstants:
 
 _V_GRID = np.arange(0.05, 5.0 + 1e-12, 0.05)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _as_output(x):
+    """A float for a scalar result, the array otherwise."""
+    x = np.asarray(x, dtype=float)
+    return float(x) if x.ndim == 0 else x
 
 
 def _gamma(x: np.ndarray) -> np.ndarray:
@@ -188,8 +145,7 @@ def lemma2_tail(k_n, snr: float, second_moment: float, alpha: float | None = Non
     scan = _lemma2_objective(_V_GRID, _gamma(_V_GRID + 0.5), log_base[:, None])
     _, tail = _golden_minimum(objective, _V_GRID, scan, 60)
     # One row per branch; the bound is the smaller of the two.
-    out = tail.reshape(-1, *k.shape).min(axis=0)
-    return float(out) if out.ndim == 0 else out
+    return _as_output(tail.reshape(-1, *k.shape).min(axis=0))
 
 
 def gaussian_tail_model(
@@ -204,46 +160,85 @@ def gaussian_tail_model(
     Lemma 1: phi(t) = sqrt(2 pi) exp(t^2 + snr E[X^2]) and the score
     envelope rho_bar(t) = c + 3|t|, c = sqrt(3 snr Var(X)), whose maximum
     on [-k, k] is c + 3k and whose integrals over [-k, k] are exact
-    polynomials in k. c_tail is the Lemma 2 bound.
+    polynomials in k; they stand in for the unknown true-score integrals.
+    c_tail is the Lemma 2 bound.
     """
+    given = [snr, variance, second_moment] + [v for v in (alpha, f0) if v is not None]
+    if not all(math.isfinite(v) for v in given):
+        raise ValueError("snr, variance, second_moment, alpha and f0 must be finite")
     if snr < 0 or variance < 0 or second_moment < variance:
         raise ValueError("need snr >= 0 and second_moment >= variance >= 0")
     c = math.sqrt(3.0 * snr * variance)
     shift = snr * second_moment
-    return TailModel(
-        phi=lambda t: _SQRT_2PI * np.exp(np.asarray(t) ** 2 + shift),
-        rho_max=lambda k: c + 3.0 * k,
-        rho_bar_integrals=lambda k: (
+
+    def phi(t):
+        # sqrt(2 pi) e^x, with inf past the largest finite value.
+        x = np.asarray(t) ** 2 + shift
+        return np.where(
+            x <= _PHI_EXP_MAX, _SQRT_2PI * np.exp(np.minimum(x, _PHI_EXP_MAX)), np.inf
+        )
+
+    def rho_bar_integrals(k):
+        return (
             2.0 * c * k + 3.0 * k**2,
             2.0 * c**2 * k + 6.0 * c * k**2 + 6.0 * k**3,
-        ),
+        )
+
+    return TailModel(
+        phi=phi,
+        rho_max=lambda k: c + 3.0 * k,
+        rho_bar_integrals=rho_bar_integrals,
+        score_integrals=rho_bar_integrals,
         c_tail=lambda k: lemma2_tail(k, snr, second_moment, alpha),
         f0=f0,
     )
 
 
 def tail_model_for_channel(model: ChannelModel, f0: float | None = None) -> TailModel:
-    if f0 is None and model.input is not InputLaw.CUSTOM:
+    """gaussian_tail_model for the channel's moments; a built-in input also
+    gets its sup f and its true-score integrals (channel_score_integrals)."""
+    tail = gaussian_tail_model(
+        model.snr, model.variance, model.second_moment, model.alpha, f0
+    )
+    if model.input is InputLaw.CUSTOM:
+        return tail
+    if f0 is None:
         # sup of the output density: both built-ins peak at most at the
         # pure-noise peak smoothed to variance >= 1.
         if model.input is InputLaw.GAUSSIAN_STD:
             f0 = 1.0 / (_SQRT_2PI * math.sqrt(1.0 + model.snr))
         else:
             f0 = 1.0 / _SQRT_2PI
-    return gaussian_tail_model(
-        model.snr, model.variance, model.second_moment, model.alpha, f0
-    )
+
+    def score_integrals(k):
+        if np.ndim(k) == 0:
+            return channel_score_integrals(model, k)
+        phi1, phi2 = np.array([channel_score_integrals(model, x) for x in k]).T
+        return phi1, phi2
+
+    return dataclasses.replace(tail, score_integrals=score_integrals, f0=f0)
 
 
 # ---------------------------------------------------------------------------
 # Deterministic error bounds
 
 
-def _check_phi_hypothesis(eps0: float, k_n: float, tail: TailModel) -> float:
-    phi_k = float(tail.phi(k_n))
-    if not eps0 * phi_k < 1.0:
+def _check_nonnegative(eps0, eps1):
+    if np.any(np.asarray(eps0) < 0) or np.any(np.asarray(eps1) < 0):
+        raise ValueError("eps0 and eps1 must be nonnegative")
+
+
+def _check_phi_hypothesis(eps0, k_n, tail: TailModel) -> np.ndarray:
+    phi_k = np.asarray(tail.phi(k_n), dtype=float)
+    if not np.all(np.isfinite(phi_k)):
         raise HypothesisViolationError(
-            f"eps0 * phi(k_n) = {eps0 * phi_k} >= 1; the bound does not apply"
+            f"phi(k_n) overflows at k_n = {float(np.max(k_n))}; the bound does "
+            "not apply"
+        )
+    x0 = eps0 * phi_k
+    if not np.all(x0 < 1.0):
+        raise HypothesisViolationError(
+            f"eps0 * phi(k_n) = {float(np.max(x0))} >= 1; the bound does not apply"
         )
     return phi_k
 
@@ -255,23 +250,18 @@ def _plugin_error(x0, eps1, k, phi_k, rho_m):
     return (4.0 * eps1 * k * rho_m + 2.0 * eps1**2 * k * phi_k + x0) / (1.0 - x0)
 
 
-def bhattacharya_error_bound(
-    eps0: float,
-    eps1: float,
-    k_n: float,
-    tail: TailModel,
-) -> float:
-    """Deterministic error bound for the plug-in estimator.
+def bhattacharya_error_bound(eps0, eps1, k_n, tail: TailModel):
+    """Theorem 2: deterministic error bound for the plug-in estimator.
 
     (4 eps1 k rho_max + 2 eps1^2 k phi + eps0 phi I_max) / (1 - eps0 phi)
-    + c(k) with I_max = 1, valid when eps0 * phi(k) < 1.
+    + c(k) with I_max = 1, valid when eps0 * phi(k) < 1. Accepts scalars or
+    arrays that broadcast together.
     """
-    if eps0 < 0 or eps1 < 0:
-        raise ValueError("eps0 and eps1 must be nonnegative")
+    _check_nonnegative(eps0, eps1)
     phi_k = _check_phi_hypothesis(eps0, k_n, tail)
-    rho_m = float(tail.rho_max(k_n))
-    return _plugin_error(eps0 * phi_k, eps1, k_n, phi_k, rho_m) + float(
-        tail.c_tail(k_n)
+    return _as_output(
+        _plugin_error(eps0 * phi_k, eps1, k_n, phi_k, tail.rho_max(k_n))
+        + tail.c_tail(k_n)
     )
 
 
@@ -279,7 +269,7 @@ def log_envelope_psi(eps0: float, k_n: float, tail: TailModel) -> float:
     """max(log(f0 + eps0), log(phi(k)/(1 - eps0 phi(k)))): bounds |log f_n|."""
     if tail.f0 is None:
         raise ValueError("this bound requires a density sup f0 in the tail model")
-    phi_k = _check_phi_hypothesis(eps0, k_n, tail)
+    phi_k = float(_check_phi_hypothesis(eps0, k_n, tail))
     return max(
         math.log(tail.f0 + eps0), math.log(phi_k / (1.0 - eps0 * phi_k))
     )
@@ -293,13 +283,12 @@ def modified_error_bound(
     d_f: int,
     d_fn: int,
 ) -> float:
-    """Log-envelope error bound for the plug-in estimator.
+    """Theorem 3: log-envelope error bound for the plug-in estimator.
 
     Replaces the phi factor by the much slower-growing |log f_n| envelope,
     at the price of the derivative zero counts d_f of f and d_fn of f_n.
     """
-    if eps0 < 0 or eps1 < 0:
-        raise ValueError("eps0 and eps1 must be nonnegative")
+    _check_nonnegative(eps0, eps1)
     if d_f < 0 or d_fn < 0:
         raise ValueError("zero counts d_f and d_fn must be nonnegative")
     psi = log_envelope_psi(eps0, k_n, tail)
@@ -315,55 +304,37 @@ def _clipped_summed(eps0, eps1, phi1, phi2, c_k):
 
 def _clipped_two_sided(eps0, eps1, phi1_max, phi2_max, score_phi1, score_phi2, c_k):
     """Theorem 4, max form: the summed form on the true-score integrals,
-    or 3 eps1 Phi1_max + eps0 Phi2_max on the envelope integrals."""
+    or 3 eps1 Phi1_max + eps0 Phi2_max on the envelope integrals. Where the
+    score integrals are the envelope's, the summed form is the larger."""
     return np.maximum(
         _clipped_summed(eps0, eps1, score_phi1, score_phi2, c_k),
         3.0 * eps1 * phi1_max + eps0 * phi2_max,
     )
 
 
-def _finite_rho_bar_integrals(tail: TailModel, k_n: float) -> tuple[float, float]:
-    phi1, phi2 = tail.rho_bar_integrals(k_n)
-    if not (math.isfinite(phi1) and math.isfinite(phi2)):
+def _finite_integrals(integrals, k_n):
+    phi1, phi2 = integrals(k_n)
+    if not (np.all(np.isfinite(phi1)) and np.all(np.isfinite(phi2))):
         raise ValueError("score envelope integrals must be finite on [-k_n, k_n]")
     return phi1, phi2
 
 
-def clipped_error_bound(
-    eps0: float,
-    eps1: float,
-    k_n: float,
-    tail: TailModel,
-) -> float:
-    """4 eps1 int|rho_bar| + 2 eps0 int rho_bar^2 + c(k): the summed-form
-    error bound for the clipped estimator."""
-    if eps0 < 0 or eps1 < 0:
-        raise ValueError("eps0 and eps1 must be nonnegative")
-    phi1, phi2 = _finite_rho_bar_integrals(tail, k_n)
-    return _clipped_summed(eps0, eps1, phi1, phi2, float(tail.c_tail(k_n)))
+def clipped_error_bound(eps0, eps1, k_n, tail: TailModel):
+    """Theorem 4: deterministic error bound for the clipped estimator,
 
+    max(4 eps1 Phi1 + 2 eps0 Phi2 + c(k), 3 eps1 Phi1_max + eps0 Phi2_max),
 
-def clipped_error_bound_two_sided(
-    eps0: float,
-    eps1: float,
-    k_n: float,
-    tail: TailModel,
-    score_phi1: float,
-    score_phi2: float,
-) -> float:
-    """Max-form clipped error bound, sharper when the integrals of the true
-    score (|rho| and rho^2 over [-k_n, k_n]) are available:
-
-    max(4 eps1 Phi1 + 2 eps0 Phi2 + c(k),
-        3 eps1 Phi1_max + eps0 Phi2_max).
+    with Phi_r the tail's score_integrals and Phi_r_max its
+    rho_bar_integrals over [-k_n, k_n]. On an envelope-only tail this is the
+    summed form on the envelope integrals. Accepts scalars or arrays that
+    broadcast together.
     """
-    if eps0 < 0 or eps1 < 0:
-        raise ValueError("eps0 and eps1 must be nonnegative")
-    phi1_max, phi2_max = _finite_rho_bar_integrals(tail, k_n)
-    return float(
+    _check_nonnegative(eps0, eps1)
+    phi1_max, phi2_max = _finite_integrals(tail.rho_bar_integrals, k_n)
+    phi1, phi2 = _finite_integrals(tail.score_integrals, k_n)
+    return _as_output(
         _clipped_two_sided(
-            eps0, eps1, phi1_max, phi2_max, score_phi1, score_phi2,
-            float(tail.c_tail(k_n)),
+            eps0, eps1, phi1_max, phi2_max, phi1, phi2, tail.c_tail(k_n)
         )
     )
 
@@ -387,66 +358,44 @@ def _check_open(name: str, value: float, lo: float, hi: float):
         )
 
 
-def bhattacharya_precision(
-    n,
-    u: float,
-    w: float,
-    constants: GaussianBoundConstants,
-    sub_gaussian: bool = False,
-):
-    """Guaranteed precision of the plug-in estimator under the schedule
-    a = n^-w, k_n = sqrt(u log n); decays like 1/sqrt(u log n).
-
-    Accepts scalar or array n. The sub-Gaussian variant replaces the
-    slowest tail term by c6 * n^(-u/4).
-    """
-    _check_open("w", w, 0.0, 1.0 / 6.0)
-    _check_open("u", u, 0.0, w)
+def _sample_sizes(n) -> np.ndarray:
     n = np.asarray(n, dtype=float)
     if np.any(n < 2):
         raise HypothesisViolationError("n must be >= 2")
-    ratio = n ** (u - w)
-    if np.any(ratio >= 1.0):
-        raise HypothesisViolationError("need n^(w-u) > 1")
-    s = np.sqrt(u * np.log(n))
-    c = constants
-    if sub_gaussian:
-        lead = n ** (-w) * s * (c.c3 + 12.0 * s + 2.0 * c.c5 * ratio) / (1.0 - ratio)
-        out = lead + c.c5 / (n ** (w - u) - 1.0) + c.c6 * n ** (-u / 4.0)
-    else:
-        lead = (
-            n ** (-w) * s * (4.0 * c.c3 + 12.0 * s + 2.0 * c.c5 * ratio)
-            / (1.0 - ratio)
-        )
-        out = lead + c.c4 / s + c.c5 / (n ** (w - u) - 1.0)
-    return float(out) if out.ndim == 0 else out
+    return n
 
 
-def clipped_precision(
-    n,
-    u: float,
-    w0: float,
-    w1: float,
-    constants: GaussianBoundConstants,
-    sub_gaussian: bool = False,
-):
-    """Guaranteed precision of the clipped estimator under the schedule
-    a0 = n^-w0, a1 = n^-w1, k_n = n^u; decays polynomially in n."""
+def bhattacharya_schedule(n, u: float, w: float):
+    """(eps0, eps1, k_n) of the plug-in schedule: a = eps0 = eps1 = n^-w,
+    k_n = sqrt(u log n), with 0 < u < w < 1/6."""
+    _check_open("w", w, 0.0, 1.0 / 6.0)
+    _check_open("u", u, 0.0, w)
+    n = _sample_sizes(n)
+    eps = n ** (-w)
+    return eps, eps, np.sqrt(u * np.log(n))
+
+
+def clipped_schedule(n, u: float, w0: float, w1: float):
+    """(eps0, eps1, k_n) of the clipped schedule: a_r = eps_r = n^-w_r,
+    k_n = n^u, with w0 < 1/4, w1 < 1/6 and 0 < u < min(w0/3, w1/2)."""
     _check_open("w0", w0, 0.0, 1.0 / 4.0)
     _check_open("w1", w1, 0.0, 1.0 / 6.0)
     _check_open("u", u, 0.0, min(w0 / 3.0, w1 / 2.0))
-    n = np.asarray(n, dtype=float)
-    if np.any(n < 2):
-        raise HypothesisViolationError("n must be >= 2")
-    c = constants
-    lead = 4.0 * n ** (3.0 * u - w0) * (
-        c.c3 * n ** (-2.0 * u) + 3.0 * n ** (-u) + 3.0
-    ) + 4.0 * n ** (2.0 * u - w1) * (2.0 * c.c3 * n ** (-u) + 3.0)
-    if sub_gaussian:
-        out = lead + c.c6 * np.exp(-(n ** (2.0 * u)) / 4.0)
-    else:
-        out = lead + c.c4 * n ** (-u)
-    return float(out) if out.ndim == 0 else out
+    n = _sample_sizes(n)
+    return n ** (-w0), n ** (-w1), n**u
+
+
+def bhattacharya_precision(n, u: float, w: float, tail: TailModel):
+    """Theorem 5: Theorem 2 at the plug-in schedule point; decays like
+    1/sqrt(u log n) on the Lemma 1/2 tail. Raises HypothesisViolationError
+    where eps0 * phi(k_n) >= 1. Accepts scalar or array n."""
+    return bhattacharya_error_bound(*bhattacharya_schedule(n, u, w), tail)
+
+
+def clipped_precision(n, u: float, w0: float, w1: float, tail: TailModel):
+    """Theorem 6: Theorem 4 at the clipped schedule point; decays
+    polynomially in n. Accepts scalar or array n."""
+    return clipped_error_bound(*clipped_schedule(n, u, w0, w1), tail)
 
 
 def confidence_bound(
@@ -469,10 +418,10 @@ def confidence_bound(
         _check_open("w1", w1, 0.0, 1.0 / 6.0)
     n = np.asarray(n, dtype=float)
     a0, a1 = n ** -w0, n ** -w1
-    out = 2.0 * np.exp(-n * deviation_rate(0, a0, a0)) + 2.0 * np.exp(
-        -n * deviation_rate(1, a1, a1)
+    return _as_output(
+        2.0 * np.exp(-n * deviation_rate(0, a0, a0))
+        + 2.0 * np.exp(-n * deviation_rate(1, a1, a1))
     )
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -639,18 +588,19 @@ def _certify(estimator, consts, e1, target_eps, target_perr):
     return log10_n, e0, a0, a1
 
 
-def _best_per_k(estimator, channel, tail, k, target_eps, target_perr):
+def _best_per_k(estimator, tail, k, target_eps, target_perr):
     """Per k: the smallest log10 n over log eps1 and its log eps1, plus the
     per-k constants of the bound, in the order _precision reads them."""
     c = tail.c_tail(k)
     if estimator is EstimatorKind.BHATTACHARYA:
-        consts = (k, tail.phi(k), tail.rho_max(k), c)
+        # Where 4 k phi(k) overflows, Theorem 2's hypothesis needs eps0 <
+        # 1e-300, far below any eps0 certifiable with n <= 1e40. NaN marks
+        # such k infeasible before the eps1^2 k phi term overflows.
+        phi = tail.phi(k)
+        phi = np.where(phi < sys.float_info.max / (4.0 * k), phi, np.nan)
+        consts = (k, phi, tail.rho_max(k), c)
     else:
-        m1, m2 = tail.rho_bar_integrals(k)
-        s1, s2 = (m1, m2) if channel.input is InputLaw.CUSTOM else np.array(
-            [channel_score_integrals(channel, x) for x in k]
-        ).T
-        consts = (m1, m2, s1, s2, c)
+        consts = (*tail.rho_bar_integrals(k), *tail.score_integrals(k), c)
     grid = _LOG_E1_GRID[estimator]
     scan = _certify(
         estimator, [v[:, None] for v in consts], np.exp(grid), target_eps, target_perr
@@ -693,7 +643,7 @@ def sample_complexity(
     dk = float(k_grid[1] - k_grid[0])
     for _ in range(1 + _ZOOM_PASSES):
         log10_n, log_e1, consts = _best_per_k(
-            estimator, channel, tail, k_grid, target_eps, target_perr
+            estimator, tail, k_grid, target_eps, target_perr
         )
         i = int(np.argmin(log10_n))
         if best is None and not np.isfinite(log10_n[i]):

@@ -18,11 +18,9 @@ import numpy as np
 from . import bounds as bounds_mod
 from .channel import (
     ChannelModel,
-    InputLaw,
     binary_channel,
     gaussian_channel,
     sample_channel,
-    true_mmse,
 )
 from .errors import (
     HypothesisViolationError,
@@ -36,6 +34,7 @@ from .estimators import (
     constant_clip_envelope,
     estimate,
     lemma_clip_envelope,
+    mmse_from_fisher,
 )
 from .experiments import ExperimentConfig, run_experiment
 from .kernels import kde_profile
@@ -135,7 +134,7 @@ def cmd_estimate(args) -> int:
     if snr is not None and kind in (
         EstimatorKind.BHATTACHARYA, EstimatorKind.CLIPPED
     ):
-        payload["mmse"] = (1.0 - result.value) / snr
+        payload["mmse"] = mmse_from_fisher(result.value, snr)
     _print_json(payload)
     return EXIT_OK
 
@@ -159,62 +158,50 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _constants_payload(c: bounds_mod.GaussianBoundConstants, alpha) -> dict:
-    payload = {"c1": c.c1, "c2": c.c2, "c3": c.c3, "c4": c.c4, "c5": c.c5}
-    if alpha is not None:
-        payload["c6"] = c.c6
-    return payload
-
-
 def cmd_bounds(args) -> int:
     snr, var, ex2 = args.snr, args.var, args.ex2
     if snr is None or var is None or ex2 is None:
         raise ValueError("bounds requires --snr, --var, and --ex2")
-    constants = bounds_mod.GaussianBoundConstants(
-        snr=snr, variance=var, second_moment=ex2, alpha=args.alpha
-    )
-    payload = _constants_payload(constants, args.alpha)
+    tail = bounds_mod.gaussian_tail_model(snr, var, ex2, args.alpha, args.f0)
+    payload = {}
     if args.theorem in ("2", "3", "4"):
         if args.kn is None:
             raise ValueError("--kn is required for this bound")
-        tail = bounds_mod.gaussian_tail_model(snr, var, ex2, args.alpha, args.f0)
-        payload["phi_kn"] = float(tail.phi(args.kn))
-        payload["rho_max_kn"] = float(tail.rho_max(args.kn))
-        payload["c_kn"] = float(tail.c_tail(args.kn))
         eps0 = args.eps0 if args.eps0 is not None else 0.0
         eps1 = args.eps1 if args.eps1 is not None else 0.0
-        if args.theorem == "2":
-            payload["bound"] = bounds_mod.bhattacharya_error_bound(
-                eps0, eps1, args.kn, tail
-            )
-        elif args.theorem == "3":
-            payload["bound"] = bounds_mod.modified_error_bound(
-                eps0, eps1, args.kn, tail, args.df, args.dfn
-            )
-        else:
-            payload["bound"] = bounds_mod.clipped_error_bound(
-                eps0, eps1, args.kn, tail
-            )
+        k_n = args.kn
     else:
+        # Theorems 5 and 6 are Theorems 2 and 4 at the schedule point.
         if args.n is None:
             raise ValueError("--n is required for this bound")
         if args.theorem == "5":
-            payload["eps_n"] = bounds_mod.bhattacharya_precision(
-                args.n, args.u, args.w, constants, sub_gaussian=args.sub_gaussian
-            )
-            payload["p_err"] = bounds_mod.confidence_bound(
+            eps0, eps1, k_n = bounds_mod.bhattacharya_schedule(args.n, args.u, args.w)
+            p_err = bounds_mod.confidence_bound(
                 args.n, EstimatorKind.BHATTACHARYA, w=args.w
             )
         else:
-            payload["eps_n"] = bounds_mod.clipped_precision(
-                args.n, args.u, args.w0, args.w1, constants,
-                sub_gaussian=args.sub_gaussian,
+            eps0, eps1, k_n = bounds_mod.clipped_schedule(
+                args.n, args.u, args.w0, args.w1
             )
-            payload["p_err"] = bounds_mod.confidence_bound(
+            p_err = bounds_mod.confidence_bound(
                 args.n, EstimatorKind.CLIPPED, w0=args.w0, w1=args.w1
             )
+        eps0, eps1, k_n = float(eps0), float(eps1), float(k_n)
         # A sum of two tails, each capped at 2: at 1 or more it bounds nothing.
-        payload["vacuous"] = payload["p_err"] >= 1.0
+        payload.update(k_n=k_n, eps0=eps0, eps1=eps1, p_err=p_err,
+                       vacuous=p_err >= 1.0)
+    if args.theorem in ("2", "5"):
+        bound = bounds_mod.bhattacharya_error_bound(eps0, eps1, k_n, tail)
+    elif args.theorem == "3":
+        bound = bounds_mod.modified_error_bound(
+            eps0, eps1, k_n, tail, args.df, args.dfn
+        )
+    else:
+        bound = bounds_mod.clipped_error_bound(eps0, eps1, k_n, tail)
+    payload["eps_n" if args.theorem in ("5", "6") else "bound"] = bound
+    payload["phi_kn"] = float(tail.phi(k_n))
+    payload["rho_max_kn"] = float(tail.rho_max(k_n))
+    payload["c_kn"] = float(tail.c_tail(k_n))
     _print_json(payload)
     return EXIT_OK
 
@@ -288,7 +275,6 @@ def build_parser() -> _Parser:
     p.add_argument("--f0", type=float)
     p.add_argument("--df", type=int, default=0)
     p.add_argument("--dfn", type=int, default=0)
-    p.add_argument("--sub-gaussian", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("complexity", help="minimal sample size for a target")

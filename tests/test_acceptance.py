@@ -30,7 +30,6 @@ from fisherinfo import (
     true_fisher,
 )
 from fisherinfo.bounds import (
-    GaussianBoundConstants,
     bhattacharya_precision,
     clipped_precision,
     gaussian_tail_model,
@@ -237,10 +236,11 @@ def test_criterion_7_oracle_equivalence():
 def test_criterion_8_invariant_suite_representatives():
     # The full invariant suite lives in the per-module test files; this
     # re-asserts the asymptotic-rate surrogates on the bound evaluators.
-    c = GaussianBoundConstants(snr=1.0, variance=1.0, second_moment=1.0, alpha=1.0)
-    n = np.logspace(3, 30, 200)
-    plug = bhattacharya_precision(n, 0.05, 0.15, c)
-    clip = clipped_precision(n, 0.02, 0.2, 0.12, c)
+    # Theorem 2 applies to the plug-in schedule from n ~ 2.2e8 on.
+    tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
+    n = np.logspace(9, 30, 200)
+    plug = bhattacharya_precision(n, 0.05, 0.15, tail)
+    clip = clipped_precision(n, 0.02, 0.2, 0.12, tail)
     assert np.all(np.diff(plug) < 0)
     assert np.all(np.diff(clip) < 0)
     # Polynomial vs logarithmic decay: the clipped schedule overtakes.

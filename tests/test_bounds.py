@@ -2,6 +2,7 @@
 sample-complexity search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,14 +22,15 @@ from fisherinfo import (
 )
 from fisherinfo import bounds as bounds_mod
 from fisherinfo.bounds import (
-    GaussianBoundConstants,
+    _clipped_summed,
     _solve_log10_n,
     bhattacharya_error_bound,
     bhattacharya_precision,
+    bhattacharya_schedule,
     channel_score_integrals,
     clipped_error_bound,
-    clipped_error_bound_two_sided,
     clipped_precision,
+    clipped_schedule,
     confidence_bound,
     count_derivative_zeros,
     gaussian_tail_model,
@@ -38,7 +40,7 @@ from fisherinfo.bounds import (
     tail_model_for_channel,
 )
 from fisherinfo.errors import HypothesisViolationError, InfeasibleTargetError
-from fisherinfo.kernels import sup_deviation_tail
+from fisherinfo.kernels import deviation_rate, sup_deviation_tail
 from fisherinfo.quadrature import integrate
 
 _SQRT_2PI = math.sqrt(2 * math.pi)
@@ -56,12 +58,6 @@ def _simpson_envelope_integrals(rho_bar, k_n):
     phi1 = integrate(lambda t: np.abs(rho_bar(t)), -k_n, k_n, 2001)
     phi2 = integrate(lambda t: rho_bar(t) ** 2, -k_n, k_n, 2001)
     return phi1, phi2
-
-
-@pytest.fixture(scope="module")
-def unit_constants():
-    return GaussianBoundConstants(snr=1.0, variance=1.0, second_moment=1.0,
-                                  alpha=1.0)
 
 
 def _scalar_lemma2_tail(k_n, snr, second_moment, alpha=None):
@@ -114,38 +110,33 @@ def _certified_tails(res):
 
 
 class TestConstants:
-    def test_c1_c2_from_first_principles(self, unit_constants):
-        # c_r = 2 (1 - delta_r)^2 / V_r^2 with V0^2 = 2/pi, V1^2 = 8/(e pi).
+    def test_c1_c2_from_first_principles(self):
+        # The schedule rate constants c_r = deviation_rate(r, 1, 1) =
+        # 2 (1 - delta_r)^2 / V_r^2 with V0^2 = 2/pi, V1^2 = 8/(e pi).
         c1 = math.pi * (1 - 1 / math.sqrt(2 * math.pi * math.e)) ** 2
         c2 = math.e * math.pi * (1 - (2 / math.e + 1) / _SQRT_2PI) ** 2 / 4
-        assert unit_constants.c1 == pytest.approx(c1, rel=1e-12)
-        assert unit_constants.c2 == pytest.approx(c2, rel=1e-12)
-        assert unit_constants.c1 == pytest.approx(1.80519, abs=1e-4)
-        assert unit_constants.c2 == pytest.approx(0.20191, abs=1e-4)
-
-    def test_c3_to_c6_defining_expressions(self, unit_constants):
-        c = unit_constants
-        assert c.c3 == pytest.approx(math.sqrt(3.0), rel=1e-12)
-        assert c.c4 == pytest.approx(
-            2 * math.sqrt(math.gamma(1.5)) * math.sqrt(2.0) / math.pi**0.25
-            / math.sqrt(2.0) * math.sqrt(2.0),
-            rel=1e-12,
-        )
-        assert c.c4 == pytest.approx(2.0, rel=1e-12)
-        assert c.c5 == pytest.approx(_SQRT_2PI * math.e, rel=1e-12)
-        assert c.c6 == pytest.approx(
-            2**1.5 * math.sqrt(math.gamma(1.5)) * math.exp(0.25) / math.pi**0.25,
-            rel=1e-12,
-        )
-
-    def test_c6_requires_alpha(self):
-        c = GaussianBoundConstants(snr=1.0, variance=1.0, second_moment=1.0)
-        with pytest.raises(ValueError, match="alpha"):
-            c.c6
+        assert deviation_rate(0, 1.0, 1.0) == pytest.approx(c1, rel=1e-12)
+        assert deviation_rate(1, 1.0, 1.0) == pytest.approx(c2, rel=1e-12)
+        assert deviation_rate(0, 1.0, 1.0) == pytest.approx(1.80519, abs=1e-4)
+        assert deviation_rate(1, 1.0, 1.0) == pytest.approx(0.20191, abs=1e-4)
 
     def test_moment_validation(self):
         with pytest.raises(ValueError):
-            GaussianBoundConstants(snr=1.0, variance=2.0, second_moment=1.0)
+            gaussian_tail_model(1.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (math.nan, 1.0, 1.0, None, None),
+            (1.0, math.nan, 1.0, None, None),
+            (1.0, 1.0, math.inf, None, None),
+            (1.0, 1.0, 1.0, math.nan, None),
+            (1.0, 1.0, 1.0, 1.0, math.inf),
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            gaussian_tail_model(*args)
 
 
 class TestLemma1Constants:
@@ -156,6 +147,18 @@ class TestLemma1Constants:
     def test_phi_at_origin_zero_snr(self):
         env = gaussian_tail_model(0.0, 0.0, 0.0)
         assert float(env.phi(0.0)) == pytest.approx(_SQRT_2PI, abs=1e-4)
+
+    def test_phi_overflows_to_inf_without_warning(self):
+        # Past k^2 + snr E[X^2] ~ 709 sqrt(2 pi) e^x is not a finite double;
+        # phi reports inf (pytest turns any RuntimeWarning into an error).
+        env = gaussian_tail_model(1.0, 1.0, 1.0)
+        phi = env.phi(np.array([2.0, 26.0, 27.0, 1e3]))
+        assert phi[0] == _SQRT_2PI * math.exp(5.0)
+        assert np.isfinite(phi[1]) and np.all(np.isinf(phi[2:]))
+
+    def test_phi_overflow_named_by_the_hypothesis_check(self, unit_tail):
+        with pytest.raises(HypothesisViolationError, match="overflows"):
+            bhattacharya_error_bound(0.0, 0.0, 27.0, unit_tail)
 
     def test_invalid_moments(self):
         with pytest.raises(ValueError):
@@ -383,11 +386,45 @@ class TestClippedErrorBound:
         st.floats(min_value=1.0, max_value=6.0),
     )
     def test_two_sided_form_dominated_by_summed_form(self, e0, e1, k):
+        # The max form on the true-score integrals of a built-in channel
+        # never exceeds the summed form on the envelope integrals.
         tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
-        phi1, phi2 = channel_score_integrals(gaussian_channel(1.0), k)
-        sharp = clipped_error_bound_two_sided(e0, e1, k, tail, phi1, phi2)
+        sharp = clipped_error_bound(
+            e0, e1, k, tail_model_for_channel(gaussian_channel(1.0))
+        )
         blunt = clipped_error_bound(e0, e1, k, tail)
         assert sharp <= blunt + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        snr=st.floats(0.0, 10.0),
+        variance=st.floats(0.0, 4.0),
+        alpha=st.one_of(st.none(), st.floats(0.1, 3.0)),
+        e0=st.floats(0.0, 0.1),
+        e1=st.floats(0.0, 0.1),
+        k=st.floats(0.1, 12.0),
+    )
+    def test_envelope_only_tail_gives_summed_form(self, snr, variance, alpha, e0, e1, k):
+        # With the envelope integrals standing in for the score integrals the
+        # max form is the summed form, bit for bit.
+        tail = gaussian_tail_model(snr, variance, variance, alpha)
+        want = _clipped_summed(e0, e1, *tail.rho_bar_integrals(k), tail.c_tail(k))
+        assert clipped_error_bound(e0, e1, k, tail) == want
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        snr=st.floats(0.1, 5.0),
+        e0=st.floats(0.0, 0.1),
+        e1=st.floats(0.0, 0.1),
+        k=st.floats(0.5, 8.0),
+    )
+    def test_binary_channel_score_integrals_never_loosen(self, snr, e0, e1, k):
+        model = binary_channel(snr)
+        envelope = gaussian_tail_model(
+            snr, model.variance, model.second_moment, model.alpha
+        )
+        sharp = clipped_error_bound(e0, e1, k, tail_model_for_channel(model))
+        assert sharp <= clipped_error_bound(e0, e1, k, envelope)
 
     def test_score_integrals_against_adaptive_quadrature(self):
         model = gaussian_channel(1.0)
@@ -399,85 +436,184 @@ class TestClippedErrorBound:
 
 
 class TestPrecisionSchedules:
-    def test_plugin_range_validation(self, unit_constants):
+    def test_plugin_range_validation(self, unit_tail):
         with pytest.raises(HypothesisViolationError):
-            bhattacharya_precision(1e6, 0.05, 1.0 / 6.0, unit_constants)
+            bhattacharya_precision(1e6, 0.05, 1.0 / 6.0, unit_tail)
         with pytest.raises(HypothesisViolationError):
-            bhattacharya_precision(1e6, 0.2, 0.15, unit_constants)
+            bhattacharya_precision(1e6, 0.2, 0.15, unit_tail)
         with pytest.raises(HypothesisViolationError):
-            bhattacharya_precision(1.0, 0.05, 0.15, unit_constants)
+            bhattacharya_precision(1.0, 0.05, 0.15, unit_tail)
 
-    def test_plugin_decreasing_over_wide_scan(self, unit_constants):
-        n = np.logspace(3, 30, 400)
-        eps = bhattacharya_precision(n, 0.05, 0.15, unit_constants)
+    def test_plugin_decreasing_over_wide_scan(self, unit_tail):
+        # eps0 phi(k_n) = sqrt(2 pi) e n^(u-w) < 1 from n ~ 2.2e8 on.
+        n = np.logspace(9, 30, 400)
+        eps = bhattacharya_precision(n, 0.05, 0.15, unit_tail)
         assert np.all(np.diff(eps) < 0)
 
-    def test_plugin_vanishes_in_the_limit(self, unit_constants):
-        # Every term vanishes as n grows, but the dominant one only like
-        # 1/sqrt(u log n), so the approach to zero is extremely slow.
-        at_20 = bhattacharya_precision(1e20, 0.05, 0.15, unit_constants)
-        at_300 = bhattacharya_precision(1e300, 0.05, 0.15, unit_constants)
+    def test_plugin_raises_below_theorem_2_hypothesis(self, unit_tail):
+        for n in (1e6, 1e8, np.array([1e8, 1e9])):
+            with pytest.raises(HypothesisViolationError, match="phi"):
+                bhattacharya_precision(n, 0.05, 0.15, unit_tail)
+        bhattacharya_precision(1e9, 0.05, 0.15, unit_tail)
+
+    def test_plugin_vanishes_in_the_limit(self, unit_tail):
+        # Every term vanishes as n grows. At n = 1e300 the schedule's eps
+        # terms are below 1e-28, so the Lemma 2 tail at k_n is all that is
+        # left.
+        at_20 = bhattacharya_precision(1e20, 0.05, 0.15, unit_tail)
+        at_300 = bhattacharya_precision(1e300, 0.05, 0.15, unit_tail)
         assert at_300 < at_20
-        assert at_300 == pytest.approx(
-            unit_constants.c4 / math.sqrt(0.05 * math.log(1e300)), rel=0.05
-        )
+        k = math.sqrt(0.05 * math.log(1e300))
+        assert at_300 == pytest.approx(lemma2_tail(k, 1.0, 1.0, 1.0), rel=1e-12)
 
-    def test_plugin_sub_gaussian_variant(self, unit_constants):
-        plain = bhattacharya_precision(1e20, 0.05, 0.15, unit_constants)
-        sub = bhattacharya_precision(
-            1e20, 0.05, 0.15, unit_constants, sub_gaussian=True
-        )
-        assert math.isfinite(sub) and sub > 0
-        assert sub != plain
+    def test_plugin_sub_gaussian_variant(self, unit_tail):
+        # A sub-Gaussian proxy adds Lemma 2's Chernoff branch to c(k_n); it
+        # wins once k_n is large.
+        plain = gaussian_tail_model(1.0, 1.0, 1.0)
+        for n in (1e20, 1e100, 1e300):
+            sub = bhattacharya_precision(n, 0.05, 0.15, unit_tail)
+            assert sub <= bhattacharya_precision(n, 0.05, 0.15, plain)
+        assert sub < bhattacharya_precision(1e300, 0.05, 0.15, plain) / 1e4
 
-    def test_clipped_range_validation(self, unit_constants):
+    def test_clipped_range_validation(self, unit_tail):
         with pytest.raises(HypothesisViolationError):
-            clipped_precision(1e6, 0.05, 0.25, 0.1, unit_constants)
+            clipped_precision(1e6, 0.05, 0.25, 0.1, unit_tail)
         with pytest.raises(HypothesisViolationError):
-            clipped_precision(1e6, 0.1, 0.2, 0.1, unit_constants)
+            clipped_precision(1e6, 0.1, 0.2, 0.1, unit_tail)
 
-    def test_clipped_small_u_limit_substitution(self, unit_constants):
-        # As u -> 0 the formula approaches 4n^-w0 (c3+6) + 4n^-w1 (2c3+3)
-        # plus the c4 term.
+    def test_clipped_small_u_limit_substitution(self, unit_tail):
+        # As u -> 0, k_n = n^u -> 1: the Theorem 4 bound at k_n = 1.
         n, w0, w1 = 1e10, 0.2, 0.12
-        u = 1e-9
-        c3, c4 = unit_constants.c3, unit_constants.c4
-        limit = (
-            4 * n**-w0 * (c3 + 6) + 4 * n**-w1 * (2 * c3 + 3) + c4 * n**-u
-        )
-        assert clipped_precision(n, u, w0, w1, unit_constants) == pytest.approx(
+        limit = clipped_error_bound(n**-w0, n**-w1, 1.0, unit_tail)
+        assert clipped_precision(n, 1e-9, w0, w1, unit_tail) == pytest.approx(
             limit, rel=1e-6
         )
 
-    def test_clipped_polynomial_decay_slope(self, unit_constants):
+    def test_clipped_polynomial_decay_slope(self, unit_tail):
+        # With a sub-Gaussian proxy c(k_n) falls faster than any power of n,
+        # and 4 eps1 Phi1 ~ 12 n^(2u - w1) leads 2 eps0 Phi2 ~ 12 n^(3u - w0).
         u, w0, w1 = 0.02, 0.2, 0.12
-        n1, n2 = 1e25, 1e30
-        e1 = clipped_precision(n1, u, w0, w1, unit_constants)
-        e2 = clipped_precision(n2, u, w0, w1, unit_constants)
-        slope = (math.log10(e2) - math.log10(e1)) / 5.0
-        expected = -min(w0 - 3 * u, w1 - 2 * u, u)
+        n1, n2 = 1e80, 1e100
+        e1 = clipped_precision(n1, u, w0, w1, unit_tail)
+        e2 = clipped_precision(n2, u, w0, w1, unit_tail)
+        slope = (math.log10(e2) - math.log10(e1)) / 20.0
+        expected = -min(w0 - 3 * u, w1 - 2 * u)
         assert slope == pytest.approx(expected, abs=0.02)
 
-    def test_clipped_beats_plugin_at_matched_confidence(self, unit_constants):
+    def test_clipped_beats_plugin_at_matched_confidence(self, unit_tail):
         # Compare the best achievable precision of each schedule at
-        # n = 10^15; the clipped schedule wins, and at these n the
-        # confidence terms are all indistinguishable from zero.
+        # n = 10^15, over the (u, w) where Theorem 2 applies; the clipped
+        # schedule wins, and at these n the confidence terms are all
+        # indistinguishable from zero.
         n = 1e15
+
+        def plugin(u, w):
+            try:
+                return bhattacharya_precision(n, u, w, unit_tail)
+            except HypothesisViolationError:
+                return math.inf
+
         plug = min(
-            bhattacharya_precision(n, u, w, unit_constants)
+            plugin(u, w)
             for w in np.linspace(0.02, 0.166, 30)
             for u in np.linspace(1e-3, w - 1e-3, 30)
         )
         clip = min(
-            clipped_precision(n, u, w0, w1, unit_constants)
+            clipped_precision(n, u, w0, w1, unit_tail)
             for w0 in np.linspace(0.05, 0.2499, 20)
             for w1 in np.linspace(0.05, 0.166, 20)
             for u in np.linspace(1e-3, min(w0 / 3, w1 / 2) - 1e-3, 10)
         )
+        assert math.isfinite(plug)
         assert clip < plug
         conf_plug = confidence_bound(n, EstimatorKind.BHATTACHARYA, w=0.15)
         conf_clip = confidence_bound(n, EstimatorKind.CLIPPED, w0=0.2, w1=0.15)
         assert conf_clip <= conf_plug + 1e-300
+
+
+class TestSchedulesAreErrorBounds:
+    """Theorems 5 and 6 are Theorems 2 and 4 at the schedule point."""
+
+    # Exact at each shape: numpy's array and scalar pow may differ in the
+    # last bit, so a scalar and an array evaluation agree to rounding only.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log10_n=st.lists(st.floats(9.0, 300.0), min_size=1, max_size=5),
+        w=st.floats(0.06, 0.16),
+        u_frac=st.floats(0.01, 0.5),
+        alpha=st.sampled_from([None, 1.0]),
+    )
+    def test_plugin_schedule_is_theorem_2(self, log10_n, w, u_frac, alpha):
+        tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha)
+        u = u_frac * w
+        n = 10.0 ** np.array(log10_n)
+        eps0, eps1, k = bhattacharya_schedule(n, u, w)
+        if np.any(eps0 * tail.phi(k) >= 1.0):
+            with pytest.raises(HypothesisViolationError):
+                bhattacharya_precision(n, u, w, tail)
+            return
+        got = bhattacharya_precision(n, u, w, tail)
+        want = bhattacharya_error_bound(eps0, eps1, k, tail)
+        assert got.shape == n.shape and np.array_equal(got, want)
+        for x, value in zip(n, got):
+            scalar = bhattacharya_precision(x, u, w, tail)
+            point = bhattacharya_schedule(x, u, w)
+            assert scalar == bhattacharya_error_bound(*point, tail)
+            assert scalar == pytest.approx(value, rel=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log10_n=st.lists(st.floats(1.0, 60.0), min_size=1, max_size=5),
+        w0=st.floats(0.05, 0.24),
+        w1=st.floats(0.05, 0.16),
+        u_frac=st.floats(0.01, 0.99),
+        alpha=st.sampled_from([None, 1.0]),
+    )
+    def test_clipped_schedule_is_theorem_4(self, log10_n, w0, w1, u_frac, alpha):
+        tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha)
+        u = u_frac * min(w0 / 3.0, w1 / 2.0)
+        n = 10.0 ** np.array(log10_n)
+        got = clipped_precision(n, u, w0, w1, tail)
+        want = clipped_error_bound(*clipped_schedule(n, u, w0, w1), tail)
+        assert got.shape == n.shape and np.array_equal(got, want)
+        for x, value in zip(n, got):
+            scalar = clipped_precision(x, u, w0, w1, tail)
+            point = clipped_schedule(x, u, w0, w1)
+            assert scalar == clipped_error_bound(*point, tail)
+            assert scalar == pytest.approx(value, rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log10_n=st.floats(0.5, 20.0), w=st.floats(0.02, 0.16), u_frac=st.floats(0.01, 0.99))
+    def test_plugin_raises_exactly_outside_the_hypothesis(self, log10_n, w, u_frac):
+        tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
+        u = u_frac * w
+        eps0, _, k = bhattacharya_schedule(10.0**log10_n, u, w)
+        if eps0 * float(tail.phi(k)) >= 1.0:
+            with pytest.raises(HypothesisViolationError):
+                bhattacharya_precision(10.0**log10_n, u, w, tail)
+        else:
+            assert bhattacharya_precision(10.0**log10_n, u, w, tail) > 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(log10_n=st.floats(0.5, 300.0), w=st.floats(0.02, 0.16),
+           w0=st.floats(0.02, 0.24), u_frac=st.floats(0.01, 0.99))
+    def test_schedule_points(self, log10_n, w, w0, u_frac):
+        n = 10.0**log10_n
+        eps0, eps1, k = bhattacharya_schedule(n, u_frac * w, w)
+        assert eps0 == eps1 == pytest.approx(n**-w, rel=1e-12)
+        assert k == pytest.approx(math.sqrt(u_frac * w * math.log(n)), rel=1e-12)
+        u = u_frac * min(w0 / 3.0, w / 2.0)
+        point = clipped_schedule(n, u, w0, w)
+        assert point == pytest.approx((n**-w0, n**-w, n**u), rel=1e-12)
+
+    def test_corrected_schedule_values(self):
+        # The closed forms these replace printed 1.42558 and 25.333.
+        assert bhattacharya_precision(
+            1e20, 0.05, 0.15, gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
+        ) == pytest.approx(1.39596, abs=1e-5)
+        assert clipped_precision(
+            1e6, 0.05, 0.2, 0.15, gaussian_tail_model(4.0, 1.0, 1.0)
+        ) == pytest.approx(36.947, abs=1e-3)
 
 
 class TestConfidenceBound:
@@ -567,6 +703,16 @@ class TestSampleComplexity:
             sample_complexity(0.5, 1.0, EstimatorKind.BHATTACHARYA, model)
         with pytest.raises(ValueError):
             sample_complexity(0.5, 0.2, EstimatorKind.MMSE_BHATTACHARYA, model)
+
+    def test_phi_overflow_is_infeasible_without_warnings(self):
+        # snr E[X^2] = 700: phi(k) overflows from k ~ 3.1 on.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InfeasibleTargetError) as exc:
+                sample_complexity(
+                    0.5, 0.2, EstimatorKind.BHATTACHARYA, gaussian_channel(700.0)
+                )
+        assert exc.value.best_precision == 7.714285673797628e290
 
     def test_infeasible_target_reports_best(self):
         model = gaussian_channel(1.0)
@@ -676,9 +822,7 @@ class TestSampleComplexity:
             assert bhattacharya_error_bound(r.eps0, r.eps1, r.k_n, tail) <= eps
             assert _certified_tails(r) <= perr * (1 + 1e-9), (eps, perr)
             r = sample_complexity(eps, perr, EstimatorKind.CLIPPED, model)
-            bound = clipped_error_bound_two_sided(
-                r.eps0, r.eps1, r.k_n, tail, *channel_score_integrals(model, r.k_n)
-            )
+            bound = clipped_error_bound(r.eps0, r.eps1, r.k_n, tail)
             assert bound <= eps, (eps, perr)
             assert _certified_tails(r) <= perr * (1 + 1e-9), (eps, perr)
 

@@ -13,7 +13,12 @@ from fisherinfo import (
     gaussian_channel,
     sample_channel,
 )
-from fisherinfo.bounds import confidence_bound
+from fisherinfo.bounds import (
+    bhattacharya_error_bound,
+    clipped_error_bound,
+    confidence_bound,
+    gaussian_tail_model,
+)
 from fisherinfo.cli import main
 
 
@@ -86,6 +91,19 @@ class TestEstimate:
         assert code == 0
         assert json.loads(out)["value"] >= 0
 
+    def test_zero_snr_mmse_is_usage_error(self, capsys, tmp_path):
+        # Brown's identity mmse = (1 - I)/snr needs snr > 0.
+        path = tmp_path / "vals.txt"
+        SampleSet(np.linspace(-1, 1, 50)).to_file(path)
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(path), "--estimator",
+            "bhattacharya", "--a0", "0.5", "--a1", "0.5", "--kn", "3",
+            "--grid", "101", "--snr", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert "snr" in err
+
     def test_zero_bandwidth_is_usage_error(self, capsys):
         code, _, _ = run_cli(
             capsys, "estimate", "--channel", "gaussian", "--snr", "1",
@@ -143,9 +161,66 @@ class TestBounds:
         )
         assert code == 0
         payload = json.loads(out)
-        assert payload["c1"] == pytest.approx(1.80519, abs=1e-4)
-        assert payload["eps_n"] > 0
+        assert set(payload) == {
+            "phi_kn", "rho_max_kn", "c_kn", "k_n", "eps0", "eps1", "eps_n",
+            "p_err", "vacuous",
+        }
+        # Theorem 5 is Theorem 2 at the schedule point.
+        assert payload["eps0"] == payload["eps1"] == pytest.approx(1e-3)
+        assert payload["eps_n"] == bhattacharya_error_bound(
+            payload["eps0"], payload["eps1"], payload["k_n"],
+            gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0),
+        )
+        assert payload["eps_n"] == pytest.approx(1.39596, abs=1e-5)
         assert 0 <= payload["p_err"] <= 1
+
+    def test_clipped_schedule_is_theorem_4(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bounds", "--theorem", "6", "--n", "1e6", "--u", "0.05",
+            "--w0", "0.2", "--w1", "0.15", "--snr", "4", "--var", "1", "--ex2", "1",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["eps_n"] == pytest.approx(36.947, abs=1e-3)
+        assert payload["eps_n"] == clipped_error_bound(
+            payload["eps0"], payload["eps1"], payload["k_n"],
+            gaussian_tail_model(4.0, 1.0, 1.0),
+        )
+
+    def test_schedule_below_theorem_2_hypothesis_exit_two(self, capsys):
+        code, _, err = run_cli(
+            capsys, "bounds", "--theorem", "5", "--n", "1e6", "--u", "0.05",
+            "--w", "0.15", "--snr", "1", "--var", "1", "--ex2", "1",
+        )
+        assert code == 2
+        assert "phi" in err
+
+    def test_phi_overflow_exit_two(self, capsys):
+        code, _, err = run_cli(
+            capsys, "bounds", "--theorem", "2", "--kn", "27", "--snr", "1",
+            "--var", "1", "--ex2", "1",
+        )
+        assert code == 2
+        assert "phi(k_n) overflows" in err
+
+    @pytest.mark.parametrize("flag", ["--var", "--alpha"])
+    def test_non_finite_parameter_usage_error(self, capsys, flag):
+        argv = {"--snr": "1", "--var": "1", "--ex2": "1", flag: "nan"}
+        code, out, err = run_cli(
+            capsys, "bounds", "--theorem", "2", "--eps0", "1e-6", "--eps1",
+            "1e-6", "--kn", "2", *[x for kv in argv.items() for x in kv],
+        )
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
+    def test_pure_noise_is_valid(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "bounds", "--theorem", "2", "--eps0", "1e-6", "--eps1",
+            "1e-6", "--kn", "2", "--snr", "0", "--var", "1", "--ex2", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["rho_max_kn"] == 6.0
 
     def test_error_bound_reports_envelopes(self, capsys):
         code, out, _ = run_cli(
@@ -155,8 +230,7 @@ class TestBounds:
         )
         assert code == 0
         payload = json.loads(out)
-        for key in ("phi_kn", "rho_max_kn", "c_kn", "bound"):
-            assert key in payload
+        assert set(payload) == {"phi_kn", "rho_max_kn", "c_kn", "bound"}
 
     def test_hypothesis_violation_exit_two(self, capsys):
         code, _, err = run_cli(
