@@ -30,11 +30,13 @@ from .channel import ChannelModel, InputLaw, true_score
 from .errors import HypothesisViolationError, InfeasibleTargetError
 from .estimators import EstimatorKind
 from .kernels import deviation_rate, rate_optimal_bandwidth
-from .quadrature import integrate
+from .quadrature import evaluate, integrate
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: Largest x with sqrt(2 pi) e^x finite, less a margin for the rounding of exp.
 _PHI_EXP_MAX = math.log(sys.float_info.max / _SQRT_2PI) - 1e-9
+#: |t| past which phi(t) overflows for any shift; phi caps |t| here to square it.
+_PHI_T_MAX = math.sqrt(_PHI_EXP_MAX) + 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +175,7 @@ def gaussian_tail_model(
 
     def phi(t):
         # sqrt(2 pi) e^x, with inf past the largest finite value.
-        x = np.asarray(t) ** 2 + shift
+        x = np.square(np.minimum(np.abs(t), _PHI_T_MAX)) + shift
         return np.where(
             x <= _PHI_EXP_MAX, _SQRT_2PI * np.exp(np.minimum(x, _PHI_EXP_MAX)), np.inf
         )
@@ -210,22 +212,20 @@ def tail_model_for_channel(model: ChannelModel, f0: float | None = None) -> Tail
         else:
             f0 = 1.0 / _SQRT_2PI
 
-    def score_integrals(k):
-        if np.ndim(k) == 0:
-            return channel_score_integrals(model, k)
-        phi1, phi2 = np.array([channel_score_integrals(model, x) for x in k]).T
-        return phi1, phi2
-
-    return dataclasses.replace(tail, score_integrals=score_integrals, f0=f0)
+    return dataclasses.replace(
+        tail, score_integrals=lambda k: channel_score_integrals(model, k), f0=f0
+    )
 
 
 # ---------------------------------------------------------------------------
 # Deterministic error bounds
 
 
-def _check_nonnegative(eps0, eps1):
+def _check_inputs(eps0, eps1, k_n):
     if np.any(np.asarray(eps0) < 0) or np.any(np.asarray(eps1) < 0):
         raise ValueError("eps0 and eps1 must be nonnegative")
+    if not np.all(np.isfinite(k_n) & (np.asarray(k_n) > 0)):
+        raise ValueError(f"k_n must be finite and positive, got {k_n}")
 
 
 def _check_phi_hypothesis(eps0, k_n, tail: TailModel) -> np.ndarray:
@@ -257,7 +257,7 @@ def bhattacharya_error_bound(eps0, eps1, k_n, tail: TailModel):
     + c(k) with I_max = 1, valid when eps0 * phi(k) < 1. Accepts scalars or
     arrays that broadcast together.
     """
-    _check_nonnegative(eps0, eps1)
+    _check_inputs(eps0, eps1, k_n)
     phi_k = _check_phi_hypothesis(eps0, k_n, tail)
     return _as_output(
         _plugin_error(eps0 * phi_k, eps1, k_n, phi_k, tail.rho_max(k_n))
@@ -288,7 +288,7 @@ def modified_error_bound(
     Replaces the phi factor by the much slower-growing |log f_n| envelope,
     at the price of the derivative zero counts d_f of f and d_fn of f_n.
     """
-    _check_nonnegative(eps0, eps1)
+    _check_inputs(eps0, eps1, k_n)
     if d_f < 0 or d_fn < 0:
         raise ValueError("zero counts d_f and d_fn must be nonnegative")
     psi = log_envelope_psi(eps0, k_n, tail)
@@ -313,7 +313,12 @@ def _clipped_two_sided(eps0, eps1, phi1_max, phi2_max, score_phi1, score_phi2, c
 
 
 def _finite_integrals(integrals, k_n):
-    phi1, phi2 = integrals(k_n)
+    # Past k_n ~ 1e102 the envelope polynomials overflow (a float k_n raises).
+    with np.errstate(over="ignore"):
+        try:
+            phi1, phi2 = integrals(k_n)
+        except OverflowError:
+            phi1 = phi2 = math.inf
     if not (np.all(np.isfinite(phi1)) and np.all(np.isfinite(phi2))):
         raise ValueError("score envelope integrals must be finite on [-k_n, k_n]")
     return phi1, phi2
@@ -329,7 +334,7 @@ def clipped_error_bound(eps0, eps1, k_n, tail: TailModel):
     summed form on the envelope integrals. Accepts scalars or arrays that
     broadcast together.
     """
-    _check_nonnegative(eps0, eps1)
+    _check_inputs(eps0, eps1, k_n)
     phi1_max, phi2_max = _finite_integrals(tail.rho_bar_integrals, k_n)
     phi1, phi2 = _finite_integrals(tail.score_integrals, k_n)
     return _as_output(
@@ -339,12 +344,18 @@ def clipped_error_bound(eps0, eps1, k_n, tail: TailModel):
     )
 
 
-def channel_score_integrals(model: ChannelModel, k_n: float) -> tuple[float, float]:
+def channel_score_integrals(model: ChannelModel, k_n):
     """(int |rho_Y|, int rho_Y^2) over [-k_n, k_n] for a built-in channel,
-    by Simpson's rule on 2001 nodes."""
-    phi1 = integrate(lambda t: np.abs(true_score(model, t)), -k_n, k_n, 2001)
-    phi2 = integrate(lambda t: true_score(model, t) ** 2, -k_n, k_n, 2001)
-    return phi1, phi2
+    by Simpson's rule on 2001 nodes; scalar or array k_n. One integrate call
+    takes both: the intervals are stacked twice on a leading axis, and
+    true_score runs once on the nodes of the first copy."""
+    k = np.broadcast_to(k_n, (2, *np.shape(k_n)))
+
+    def integrands(t):
+        score = true_score(model, t[0])
+        return np.stack([np.abs(score), np.square(score, out=score)])
+
+    return tuple(integrate(integrands, -k, k, 2001))
 
 
 # ---------------------------------------------------------------------------
@@ -398,24 +409,13 @@ def clipped_precision(n, u: float, w0: float, w1: float, tail: TailModel):
     return clipped_error_bound(*clipped_schedule(n, u, w0, w1), tail)
 
 
-def confidence_bound(
-    n,
-    estimator: EstimatorKind,
-    w: float | None = None,
-    w0: float | None = None,
-    w1: float | None = None,
-):
+def confidence_bound(n, w0: float, w1: float):
     """Failure probability of the schedule a_r = eps_r = n^-w_r: the sum of
     the two sup-deviation tails 2 exp(-n deviation_rate(r, a_r, a_r)), which
-    is 2 exp(-c1 n^(1-4w0)) + 2 exp(-c2 n^(1-6w1)).
-
-    The plug-in schedule uses a single bandwidth exponent (w0 = w1 = w)."""
-    if estimator in (EstimatorKind.BHATTACHARYA, EstimatorKind.MMSE_BHATTACHARYA):
-        _check_open("w", w, 0.0, 1.0 / 6.0)
-        w0 = w1 = w
-    else:
-        _check_open("w0", w0, 0.0, 1.0 / 4.0)
-        _check_open("w1", w1, 0.0, 1.0 / 6.0)
+    is 2 exp(-c1 n^(1-4w0)) + 2 exp(-c2 n^(1-6w1)), with w0 < 1/4 and
+    w1 < 1/6. The plug-in schedule has w0 = w1 = w."""
+    _check_open("w0", w0, 0.0, 1.0 / 4.0)
+    _check_open("w1", w1, 0.0, 1.0 / 6.0)
     n = np.asarray(n, dtype=float)
     a0, a1 = n ** -w0, n ** -w1
     return _as_output(
@@ -439,13 +439,7 @@ def count_derivative_zeros(
     if grid_points < 3:
         raise ValueError("grid_points must be >= 3")
     grid = np.linspace(-k, k, int(grid_points))
-    try:
-        vals = np.asarray(fn(grid), dtype=float)
-        if vals.shape != grid.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([float(fn(t)) for t in grid])
-    signs = np.sign(vals)
+    signs = np.sign(evaluate(fn, grid))
     nonzero = signs != 0
     idx = np.flatnonzero(nonzero)
     changes = []

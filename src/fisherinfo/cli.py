@@ -56,7 +56,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _print_json(payload: dict):
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    # Strict JSON: a NaN or Infinity in a payload is a bug, not output.
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def _add_channel_flags(parser, required: bool = False):
@@ -176,16 +177,12 @@ def cmd_bounds(args) -> int:
             raise ValueError("--n is required for this bound")
         if args.theorem == "5":
             eps0, eps1, k_n = bounds_mod.bhattacharya_schedule(args.n, args.u, args.w)
-            p_err = bounds_mod.confidence_bound(
-                args.n, EstimatorKind.BHATTACHARYA, w=args.w
-            )
+            p_err = bounds_mod.confidence_bound(args.n, args.w, args.w)
         else:
             eps0, eps1, k_n = bounds_mod.clipped_schedule(
                 args.n, args.u, args.w0, args.w1
             )
-            p_err = bounds_mod.confidence_bound(
-                args.n, EstimatorKind.CLIPPED, w0=args.w0, w1=args.w1
-            )
+            p_err = bounds_mod.confidence_bound(args.n, args.w0, args.w1)
         eps0, eps1, k_n = float(eps0), float(eps1), float(k_n)
         # A sum of two tails, each capped at 2: at 1 or more it bounds nothing.
         payload.update(k_n=k_n, eps0=eps0, eps1=eps1, p_err=p_err,
@@ -199,7 +196,9 @@ def cmd_bounds(args) -> int:
     else:
         bound = bounds_mod.clipped_error_bound(eps0, eps1, k_n, tail)
     payload["eps_n" if args.theorem in ("5", "6") else "bound"] = bound
-    payload["phi_kn"] = float(tail.phi(k_n))
+    # phi(k_n) overflows past k_n^2 + snr E[X^2] ~ 709: JSON null.
+    phi_kn = float(tail.phi(k_n))
+    payload["phi_kn"] = phi_kn if np.isfinite(phi_kn) else None
     payload["rho_max_kn"] = float(tail.rho_max(k_n))
     payload["c_kn"] = float(tail.c_tail(k_n))
     _print_json(payload)

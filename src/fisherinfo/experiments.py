@@ -381,15 +381,10 @@ def _run_trials(config: ExperimentConfig, n: int, seed_offset: int) -> np.ndarra
         )
         return estimate(samples, est_config, config.estimator, snr=snr).value
 
-    indices = range(config.trials)
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            # map preserves submission order, so aggregation is
-            # deterministic regardless of completion order.
-            values = list(pool.map(one, indices))
-    else:
-        values = [one(t) for t in indices]
-    return np.array(values)
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        # map preserves submission order, so aggregation is deterministic
+        # regardless of completion order.
+        return np.array(list(pool.map(one, range(config.trials))))
 
 
 def run_histogram(config: ExperimentConfig) -> ExperimentReport:

@@ -427,12 +427,52 @@ class TestClippedErrorBound:
         assert sharp <= clipped_error_bound(e0, e1, k, envelope)
 
     def test_score_integrals_against_adaptive_quadrature(self):
-        model = gaussian_channel(1.0)
-        phi1, phi2 = channel_score_integrals(model, 4.0)
-        q1, _ = quad(lambda t: abs(true_score(model, t)), -4, 4)
-        q2, _ = quad(lambda t: true_score(model, t) ** 2, -4, 4)
-        assert phi1 == pytest.approx(q1, abs=1e-8)
-        assert phi2 == pytest.approx(q2, abs=1e-8)
+        for model in (gaussian_channel(1.0), binary_channel(1.0)):
+            for k in (0.8, 2.5, 4.0, 8.0):
+                phi1, phi2 = channel_score_integrals(model, k)
+                # |score| has a kink at 0, where quad is told to split.
+                q1, _ = quad(lambda t: abs(true_score(model, t)), -k, k, points=[0.0])
+                q2, _ = quad(lambda t: true_score(model, t) ** 2, -k, k)
+                assert phi1 == pytest.approx(q1, abs=1e-8), (model, k)
+                assert phi2 == pytest.approx(q2, abs=1e-8), (model, k)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        factory=st.sampled_from([gaussian_channel, binary_channel]),
+        snr=st.floats(0.0, 10.0),
+        k=st.lists(st.floats(0.1, 12.0), min_size=1, max_size=8),
+    )
+    def test_score_integrals_batched_equals_per_k(self, factory, snr, k):
+        # One call on a k array gives each k's scalar call bit for bit.
+        model = factory(snr)
+        phi1, phi2 = channel_score_integrals(model, np.array(k))
+        assert phi1.shape == phi2.shape == (len(k),)
+        for i, x in enumerate(k):
+            assert (phi1[i], phi2[i]) == channel_score_integrals(model, x)
+        tail = tail_model_for_channel(model)
+        assert np.array_equal(tail.score_integrals(np.array(k))[1], phi2)
+
+
+class TestTruncationRange:
+    @pytest.mark.parametrize("k_n", [math.nan, math.inf, 0.0, -1.0])
+    def test_evaluators_reject_k_n(self, unit_tail, k_n):
+        with pytest.raises(ValueError, match="k_n must be finite and positive"):
+            bhattacharya_error_bound(1e-6, 1e-6, k_n, unit_tail)
+        with pytest.raises(ValueError, match="k_n must be finite and positive"):
+            modified_error_bound(1e-6, 1e-6, k_n, unit_tail, 0, 0)
+        with pytest.raises(ValueError, match="k_n must be finite and positive"):
+            clipped_error_bound(1e-3, 1e-3, np.array([2.0, k_n]), unit_tail)
+
+    def test_huge_k_n_without_overflow(self, unit_tail):
+        # phi caps |t| before squaring, and the envelope integrals that
+        # overflow are reported as non-finite; warnings fail this suite.
+        assert unit_tail.phi(1e200) == math.inf
+        assert np.array_equal(unit_tail.phi(np.array([-1e200, 1e300])), [math.inf] * 2)
+        with pytest.raises(HypothesisViolationError, match="overflows"):
+            bhattacharya_error_bound(1e-6, 1e-6, 1e200, unit_tail)
+        for k_n in (1e200, np.array([3.0, 1e200])):
+            with pytest.raises(ValueError, match="must be finite on"):
+                clipped_error_bound(1e-3, 1e-3, k_n, unit_tail)
 
 
 class TestPrecisionSchedules:
@@ -526,8 +566,8 @@ class TestPrecisionSchedules:
         )
         assert math.isfinite(plug)
         assert clip < plug
-        conf_plug = confidence_bound(n, EstimatorKind.BHATTACHARYA, w=0.15)
-        conf_clip = confidence_bound(n, EstimatorKind.CLIPPED, w0=0.2, w1=0.15)
+        conf_plug = confidence_bound(n, 0.15, 0.15)
+        conf_clip = confidence_bound(n, 0.2, 0.15)
         assert conf_clip <= conf_plug + 1e-300
 
 
@@ -619,11 +659,18 @@ class TestSchedulesAreErrorBounds:
 class TestConfidenceBound:
     def test_boundary_rejected(self):
         with pytest.raises(HypothesisViolationError):
-            confidence_bound(1e6, EstimatorKind.BHATTACHARYA, w=1.0 / 6.0)
+            confidence_bound(1e6, 1.0 / 6.0, 1.0 / 6.0)
+
+    def test_clipped_rate_ranges(self):
+        # w0 < 1/4 and w1 < 1/6, each checked on its own.
+        assert math.isfinite(confidence_bound(1e6, 0.24, 0.1))
+        for w0, w1 in ((0.25, 0.1), (0.2, 1.0 / 6.0), (0.0, 0.1), (0.2, None)):
+            with pytest.raises(HypothesisViolationError):
+                confidence_bound(1e20, w0, w1)
 
     def test_decreasing_in_n(self):
         n = np.logspace(1, 5, 50)
-        p = confidence_bound(n, EstimatorKind.BHATTACHARYA, w=0.1)
+        p = confidence_bound(n, 0.1, 0.1)
         assert np.all(np.diff(p) < 0)
 
     @pytest.mark.parametrize("n", [1e4, 1e8, 1e20])
@@ -635,10 +682,10 @@ class TestConfidenceBound:
             return sup_deviation_tail(0, n, a0, a0) + sup_deviation_tail(1, n, a1, a1)
 
         for w in (0.05, 0.1, 0.12, 0.15):
-            p = confidence_bound(n, EstimatorKind.BHATTACHARYA, w=w)
+            p = confidence_bound(n, w, w)
             assert tails(w, w) <= p * (1 + 1e-9), w
         for w0, w1 in ((0.2, 0.1), (0.2, 0.15), (0.24, 0.05)):
-            p = confidence_bound(n, EstimatorKind.CLIPPED, w0=w0, w1=w1)
+            p = confidence_bound(n, w0, w1)
             assert tails(w0, w1) <= p * (1 + 1e-9), (w0, w1)
 
     def test_constructed_failure_probability(self):
@@ -650,13 +697,13 @@ class TestConfidenceBound:
         lo, hi = 1.0, 1e8
         for _ in range(200):
             mid = math.sqrt(lo * hi)
-            p = confidence_bound(mid, EstimatorKind.BHATTACHARYA, w=w)
+            p = confidence_bound(mid, w, w)
             if p > 0.2:
                 lo = mid
             else:
                 hi = mid
         n = math.sqrt(lo * hi)
-        p = confidence_bound(n, EstimatorKind.BHATTACHARYA, w=w)
+        p = confidence_bound(n, w, w)
         assert p == pytest.approx(0.2, abs=1e-9)
 
 
@@ -681,9 +728,6 @@ class TestZeroCounting:
         fn = lambda t: np.sin(40 * t)
         merged = count_derivative_zeros(fn, 1.0, tolerance=10.0)
         assert merged == 1
-
-    def test_scalar_only_callable(self):
-        assert count_derivative_zeros(lambda t: float(t), 2.0) == 1
 
     def test_validation(self, unit_tail):
         with pytest.raises(ValueError):

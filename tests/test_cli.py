@@ -7,7 +7,6 @@ import pytest
 
 from fisherinfo import (
     EstimatorConfig,
-    EstimatorKind,
     SampleSet,
     bhattacharya,
     gaussian_channel,
@@ -19,7 +18,7 @@ from fisherinfo.bounds import (
     confidence_bound,
     gaussian_tail_model,
 )
-from fisherinfo.cli import main
+from fisherinfo.cli import _print_json, main
 
 
 def run_cli(capsys, *argv):
@@ -203,6 +202,47 @@ class TestBounds:
         assert code == 2
         assert "phi(k_n) overflows" in err
 
+    def test_overflowing_phi_prints_null(self, capsys):
+        def strict(const):
+            raise ValueError(f"non-finite JSON constant {const}")
+
+        code, out, _ = run_cli(
+            capsys, "bounds", "--theorem", "4", "--eps0", "1e-3", "--eps1",
+            "1e-3", "--kn", "27", "--snr", "1", "--var", "1", "--ex2", "1",
+            "--alpha", "1",
+        )
+        assert code == 0
+        payload = json.loads(out, parse_constant=strict)
+        assert payload["phi_kn"] is None
+        assert payload["bound"] > 0
+
+    @pytest.mark.parametrize(
+        "theorem, extra, code_want, message",
+        [
+            ("2", (), 2, "phi(k_n) overflows"),
+            ("3", ("--f0", "0.4"), 2, "phi(k_n) overflows"),
+            ("4", (), 1, "score envelope integrals must be finite"),
+        ],
+    )
+    def test_huge_kn(self, capsys, theorem, extra, code_want, message):
+        code, out, err = run_cli(
+            capsys, "bounds", "--theorem", theorem, "--eps0", "1e-6", "--eps1",
+            "1e-6", "--kn", "1e200", "--snr", "1", "--var", "1", "--ex2", "1",
+            *extra,
+        )
+        assert (code, out) == (code_want, "")
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("theorem", ["2", "3", "4"])
+    @pytest.mark.parametrize("kn", ["nan", "inf", "0", "-2"])
+    def test_non_finite_or_non_positive_kn_usage_error(self, capsys, theorem, kn):
+        code, out, err = run_cli(
+            capsys, "bounds", "--theorem", theorem, "--kn", kn, "--snr", "1",
+            "--var", "1", "--ex2", "1", "--f0", "0.4",
+        )
+        assert (code, out) == (1, "")
+        assert "k_n must be finite and positive" in err
+
     @pytest.mark.parametrize("flag", ["--var", "--alpha"])
     def test_non_finite_parameter_usage_error(self, capsys, flag):
         argv = {"--snr": "1", "--var": "1", "--ex2": "1", flag: "nan"}
@@ -269,11 +309,10 @@ class TestBounds:
         assert payload["vacuous"] is vacuous
         assert (payload["p_err"] >= 1.0) is vacuous
         # The raw tail sum is printed unclipped.
-        kind = EstimatorKind.BHATTACHARYA if argv[1] == "5" else EstimatorKind.CLIPPED
+        # The plug-in schedule has w0 = w1 = w.
         flags = dict(zip(argv[::2], argv[1::2]))
-        widths = {k.lstrip("-"): float(flags[k]) for k in ("--w", "--w0", "--w1")
-                  if k in flags}
-        assert payload["p_err"] == confidence_bound(float(flags["--n"]), kind, **widths)
+        w0, w1 = (float(flags.get(k, flags.get("--w"))) for k in ("--w0", "--w1"))
+        assert payload["p_err"] == confidence_bound(float(flags["--n"]), w0, w1)
 
     def test_missing_moments_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "bounds", "--theorem", "2", "--kn", "2")
@@ -320,6 +359,14 @@ class TestExperiment:
         path.write_text(json.dumps({"kind": "histogram"}))
         code, _, _ = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 1
+
+
+class TestStrictJson:
+    def test_non_finite_payload_is_refused(self, capsys):
+        # No payload can print NaN or Infinity: the writer refuses them.
+        with pytest.raises(ValueError):
+            _print_json({"x": float("inf")})
+        assert capsys.readouterr().out == ""
 
 
 class TestUsage:

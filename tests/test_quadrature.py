@@ -43,14 +43,45 @@ class TestIntegrate:
         density = lambda t: np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
         assert integrate(density, -10.0, 10.0, 2001) == pytest.approx(1.0, abs=1e-8)
 
-    def test_scalar_only_callable(self):
-        fn = lambda t: float(t) ** 3  # raises TypeError on arrays via float()
-        assert integrate(fn, 0.0, 2.0, 101) == pytest.approx(4.0, abs=1e-9)
-
     def test_non_finite_integrand_named_node(self):
         fn = lambda t: np.where(t == 0.0, np.inf, 1.0)
         with pytest.raises(QuadratureError, match="node"):
             integrate(fn, -1.0, 1.0, 5)
+
+    def test_non_finite_batched_integrand_named_node(self):
+        fn = lambda t: np.where(t == 0.5, np.nan, t)
+        with pytest.raises(QuadratureError, match=r"node 2 of interval \(0,\)"):
+            integrate(fn, np.array([0.0, -1.0]), np.array([1.0, 1.0]), 5)
+
+    def test_wrong_shape_integrand_rejected(self):
+        # Only vectorized integrands: a scalar-only callable is an error.
+        with pytest.raises(ValueError, match=r"gave shape \(\) for nodes \(5,\)"):
+            integrate(lambda t: 1.0, 0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="shape"):
+            integrate(lambda t: t[..., :-1], np.zeros(3), np.ones(3), 5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(min_value=-10, max_value=10, allow_nan=False),
+                st.floats(min_value=1e-3, max_value=10, allow_nan=False),
+            ),
+            min_size=1, max_size=6,
+        )
+    )
+    def test_batched_equals_per_interval(self, intervals):
+        # One call over an array of intervals gives each interval's scalar
+        # integral bit for bit.
+        lo = np.array([a for a, _ in intervals])
+        hi = lo + np.array([w for _, w in intervals])
+        fn = lambda t: np.exp(-0.5 * t * t) * np.cos(2.0 * t) + t**3
+        batched = integrate(fn, lo, hi, 201)
+        assert batched.shape == lo.shape
+        for i, (a, b) in enumerate(zip(lo, hi)):
+            assert batched[i] == integrate(fn, a, b, 201)
+        stacked = integrate(fn, np.stack([lo, lo - 1.0]), np.stack([hi, hi]), 201)
+        assert np.array_equal(stacked[0], batched)
 
     def test_integrate_values_matches_fn_form(self):
         nodes = simpson_nodes(0.0, 1.0, 51)
