@@ -13,7 +13,6 @@ from .bounds import (
     clipped_error_bound,
     clipped_precision,
     confidence_bound,
-    count_derivative_zeros,
     gaussian_tail_model,
     lemma2_tail,
     modified_error_bound,
@@ -51,7 +50,6 @@ from .estimators import (
     estimate,
     lemma_clip_envelope,
     mmse_from_fisher,
-    score_at,
 )
 from .experiments import (
     ExperimentConfig,
@@ -63,13 +61,6 @@ from .experiments import (
     run_histogram,
     run_snr_sweep,
 )
-from .kernels import (
-    dkw_tail,
-    empirical_cdf,
-    kde_at,
-    kde_deriv_at,
-    kde_profile,
-    sup_deviation_tail,
-)
+from .kernels import kde_profile, sup_deviation_tail
 from .quadrature import integrate, integrate_values, simpson_nodes
 from .samples import SampleSet

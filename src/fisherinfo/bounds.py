@@ -30,7 +30,7 @@ from .channel import ChannelModel, InputLaw, true_score
 from .errors import HypothesisViolationError, InfeasibleTargetError
 from .estimators import EstimatorKind
 from .kernels import deviation_rate, rate_optimal_bandwidth
-from .quadrature import evaluate, integrate
+from .quadrature import integrate
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 #: Largest x with sqrt(2 pi) e^x finite, less a margin for the rounding of exp.
@@ -425,37 +425,6 @@ def confidence_bound(n, w0: float, w1: float):
 
 
 # ---------------------------------------------------------------------------
-# Derivative zero counting
-
-
-def count_derivative_zeros(
-    fn, k: float, grid_points: int = 4001, tolerance: float = 1e-3
-) -> int:
-    """Count sign changes of a derivative evaluator on [-k, k].
-
-    Sign changes closer together than `tolerance` are merged; tangential
-    zeros (touch without sign change) are not detected.
-    """
-    if grid_points < 3:
-        raise ValueError("grid_points must be >= 3")
-    grid = np.linspace(-k, k, int(grid_points))
-    signs = np.sign(evaluate(fn, grid))
-    nonzero = signs != 0
-    idx = np.flatnonzero(nonzero)
-    changes = []
-    for i, j in zip(idx[:-1], idx[1:]):
-        if signs[i] != signs[j]:
-            changes.append(0.5 * (grid[i] + grid[j]))
-    merged = 0
-    last = None
-    for pos in changes:
-        if last is None or pos - last > tolerance:
-            merged += 1
-            last = pos
-    return merged
-
-
-# ---------------------------------------------------------------------------
 # Sample-complexity search
 
 
@@ -629,8 +598,6 @@ def sample_complexity(
         raise ValueError("target_eps must lie in (0, 1]")
     if not (0.0 < target_perr < 1.0):
         raise ValueError("target_perr must lie in (0, 1)")
-    if estimator not in (EstimatorKind.BHATTACHARYA, EstimatorKind.CLIPPED):
-        raise ValueError("sample_complexity supports the Fisher estimators only")
     tail = tail_model_for_channel(channel)
 
     k_grid, best = _K_GRID, None

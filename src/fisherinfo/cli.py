@@ -126,15 +126,13 @@ def cmd_estimate(args) -> int:
     kind = EstimatorKind(args.estimator)
     config = EstimatorConfig(a0=args.a0, a1=args.a1, k_n=args.kn,
                              grid_points=args.grid)
-    if kind in (EstimatorKind.CLIPPED, EstimatorKind.MMSE_CLIPPED):
+    if kind is EstimatorKind.CLIPPED:
         config = config.with_envelope(_resolve_envelope(args, model))
-    snr = model.snr if model is not None else args.snr
-    result = estimate(samples, config, kind, snr=snr)
+    result = estimate(samples, config, kind)
     payload = result.to_dict()
     payload["n"] = samples.n
-    if snr is not None and kind in (
-        EstimatorKind.BHATTACHARYA, EstimatorKind.CLIPPED
-    ):
+    snr = model.snr if model is not None else args.snr
+    if snr is not None:
         payload["mmse"] = mmse_from_fisher(result.value, snr)
     _print_json(payload)
     return EXIT_OK
@@ -280,7 +278,8 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--perr", type=float, required=True)
     p.add_argument(
-        "--estimator", required=True, choices=["bhattacharya", "clipped"]
+        "--estimator", required=True,
+        choices=[k.value for k in EstimatorKind],
     )
     _add_channel_flags(p, required=True)
     p.set_defaults(func=cmd_complexity)

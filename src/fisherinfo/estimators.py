@@ -31,8 +31,6 @@ DEFAULT_GRID_POINTS = 2001
 class EstimatorKind(enum.Enum):
     BHATTACHARYA = "bhattacharya"
     CLIPPED = "clipped"
-    MMSE_BHATTACHARYA = "mmse_bhattacharya"
-    MMSE_CLIPPED = "mmse_clipped"
 
 
 @dataclass(frozen=True)
@@ -48,8 +46,8 @@ class EstimatorConfig:
 
     def __post_init__(self):
         for name in ("a0", "a1", "k_n"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.grid_points < 3 or self.grid_points % 2 == 0:
             raise ValueError("grid_points must be odd and >= 3")
         if self.density_floor < 0:
@@ -63,7 +61,6 @@ class EstimatorConfig:
 class EstimateResult:
     value: float
     estimator: EstimatorKind
-    config: EstimatorConfig
     clip_active_fraction: float = 0.0
     floored_fraction: float = 0.0
 
@@ -113,15 +110,6 @@ def _floored_density(dens: np.ndarray, floor: float) -> tuple[np.ndarray, float]
     return floored, float(np.mean(dens < floor))
 
 
-def score_at(samples: SampleSet, config: EstimatorConfig, t):
-    """Estimated score f_n'(t) / max(f_n(t), density_floor)."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    dens, deriv = kde_profile(samples, config.a0, config.a1, t_arr)
-    floored, _ = _floored_density(dens, config.density_floor)
-    out = deriv / floored
-    return float(out[0]) if np.ndim(t) == 0 else out
-
-
 def _profile_on_grid(samples, config):
     grid = simpson_nodes(-config.k_n, config.k_n, config.grid_points)
     dens, deriv = kde_profile(samples, config.a0, config.a1, grid)
@@ -136,7 +124,6 @@ def bhattacharya(samples: SampleSet, config: EstimatorConfig) -> EstimateResult:
     return EstimateResult(
         value=value,
         estimator=EstimatorKind.BHATTACHARYA,
-        config=config,
         floored_fraction=floored_frac,
     )
 
@@ -158,7 +145,6 @@ def clipped(samples: SampleSet, config: EstimatorConfig) -> EstimateResult:
     return EstimateResult(
         value=value,
         estimator=EstimatorKind.CLIPPED,
-        config=config,
         clip_active_fraction=clip_frac,
         floored_fraction=floored_frac,
     )
@@ -172,20 +158,12 @@ def mmse_from_fisher(fisher: float, snr: float) -> float:
     return (1.0 - fisher) / snr
 
 
-def estimate(samples: SampleSet, config: EstimatorConfig, kind: EstimatorKind,
-             snr: float | None = None) -> EstimateResult:
-    """Dispatch over the four estimator kinds; MMSE kinds need snr."""
+def estimate(samples: SampleSet, config: EstimatorConfig,
+             kind: EstimatorKind) -> EstimateResult:
+    """Dispatch to bhattacharya or clipped; mmse_from_fisher turns either
+    into an MMSE estimate."""
     if kind is EstimatorKind.BHATTACHARYA:
         return bhattacharya(samples, config)
     if kind is EstimatorKind.CLIPPED:
         return clipped(samples, config)
-    base = estimate(
-        samples,
-        config,
-        EstimatorKind.BHATTACHARYA
-        if kind is EstimatorKind.MMSE_BHATTACHARYA
-        else EstimatorKind.CLIPPED,
-    )
-    if snr is None:
-        raise ValueError("MMSE estimators require snr")
-    return replace(base, value=mmse_from_fisher(base.value, snr), estimator=kind)
+    raise ValueError(f"unknown estimator kind {kind!r}")

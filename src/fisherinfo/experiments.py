@@ -367,19 +367,15 @@ def _error_bin_width(config: ExperimentConfig, n: int) -> float:
 
 def _run_trials(config: ExperimentConfig, n: int, seed_offset: int) -> np.ndarray:
     """Per-trial estimates for one sample size, in trial order."""
-    base = _default_config(config, n)
-    needs_clip = config.estimator in (
-        EstimatorKind.CLIPPED,
-        EstimatorKind.MMSE_CLIPPED,
-    )
-    est_config = _clip_config(base, config.channel) if needs_clip else base
-    snr = config.channel.snr
+    est_config = _default_config(config, n)
+    if config.estimator is EstimatorKind.CLIPPED:
+        est_config = _clip_config(est_config, config.channel)
 
     def one(trial: int) -> float:
         samples = sample_channel(
             config.channel, n, trial_seed(config.seed, seed_offset + trial)
         )
-        return estimate(samples, est_config, config.estimator, snr=snr).value
+        return estimate(samples, est_config, config.estimator).value
 
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         # map preserves submission order, so aggregation is deterministic
@@ -395,14 +391,8 @@ def run_histogram(config: ExperimentConfig) -> ExperimentReport:
     quantiles.
     """
     _check_kind(config, ExperimentKind.HISTOGRAM)
-    mmse_kind = config.estimator in (
-        EstimatorKind.MMSE_BHATTACHARYA,
-        EstimatorKind.MMSE_CLIPPED,
-    )
     try:
-        truth_value = (
-            true_mmse(config.channel) if mmse_kind else true_fisher(config.channel)
-        )
+        truth_value = true_fisher(config.channel)
     except UnsupportedOracleError:
         truth_value = math.nan
 

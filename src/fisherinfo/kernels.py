@@ -7,10 +7,6 @@ Conventions for the Gaussian kernel K(t) = exp(-t^2/2)/sqrt(2*pi):
 
 The 1/a^2 scaling makes f_n' the exact derivative of f_n when both use
 the same bandwidth.
-
-Also provides the empirical CDF and the concentration machinery that
-controls sup-norm deviations of f_n and f_n': the sharp DKW tail for the
-empirical CDF and the derived tail for the kernel estimates.
 """
 
 from __future__ import annotations
@@ -77,52 +73,20 @@ def _kernel_sums(values: np.ndarray, a: float, t: np.ndarray, want_deriv: bool):
     return dens, deriv
 
 
-def _eval(samples: SampleSet, a: float, t, want_deriv: bool):
-    a = _check_bandwidth(a)
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    dens, deriv = _kernel_sums(samples.values, a, t_arr, want_deriv)
-    out = deriv if want_deriv else dens
-    return float(out[0]) if np.isscalar(t) or np.ndim(t) == 0 else out
-
-
-def kde_at(samples: SampleSet, a: float, t):
-    """Kernel density estimate f_n(t); t may be a scalar or an array."""
-    return _eval(samples, a, t, want_deriv=False)
-
-
-def kde_deriv_at(samples: SampleSet, a: float, t):
-    """Kernel estimate f_n'(t) of the density derivative."""
-    return _eval(samples, a, t, want_deriv=True)
-
-
 def kde_profile(samples: SampleSet, a0: float, a1: float, grid: np.ndarray):
-    """(f_n, f_n') on a grid, sharing exponentials when a0 == a1."""
+    """(f_n, f_n') on a 1-D grid, sharing exponentials when a0 == a1."""
     a0 = _check_bandwidth(a0)
     a1 = _check_bandwidth(a1)
     grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1:
+        # The kernel sums pair each grid row with every sample.
+        raise ValueError(f"grid must be 1-D, got shape {grid.shape}")
     if a0 == a1:
         dens, deriv = _kernel_sums(samples.values, a0, grid, want_deriv=True)
         return dens, deriv
     dens, _ = _kernel_sums(samples.values, a0, grid, want_deriv=False)
     _, deriv = _kernel_sums(samples.values, a1, grid, want_deriv=True)
     return dens, deriv
-
-
-def empirical_cdf(samples: SampleSet, t) -> float | np.ndarray:
-    """Fraction of samples <= t (right-continuous step function)."""
-    sorted_vals = np.sort(samples.values)
-    counts = np.searchsorted(sorted_vals, np.asarray(t, dtype=float), side="right")
-    out = counts / samples.n
-    return float(out) if np.ndim(t) == 0 else out
-
-
-def dkw_tail(n: int, eps: float) -> float:
-    """Sharp DKW bound 2*exp(-2*n*eps^2) on P[sup|F_n - F| > eps]."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    return 2.0 * math.exp(-2.0 * n * eps * eps)
 
 
 def deviation_rate(r: int, a, eps):

@@ -56,15 +56,11 @@ def integrate_values(values: np.ndarray, lo, hi):
     return float(out) if out.ndim == 0 else out
 
 
-def evaluate(fn, nodes: np.ndarray) -> np.ndarray:
-    """fn(nodes) as floats; fn must map the node array to an array of the
-    same shape."""
+def integrate(fn, lo, hi, grid_points: int):
+    """Composite Simpson integrals of a vectorized fn over [lo, hi]; fn
+    must map the node array to an array of the same shape."""
+    nodes = simpson_nodes(lo, hi, grid_points)
     values = np.asarray(fn(nodes), dtype=float)
     if values.shape != nodes.shape:
         raise ValueError(f"fn gave shape {values.shape} for nodes {nodes.shape}")
-    return values
-
-
-def integrate(fn, lo, hi, grid_points: int):
-    """Composite Simpson integrals of a vectorized fn over [lo, hi]."""
-    return integrate_values(evaluate(fn, simpson_nodes(lo, hi, grid_points)), lo, hi)
+    return integrate_values(values, lo, hi)

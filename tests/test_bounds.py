@@ -32,7 +32,6 @@ from fisherinfo.bounds import (
     clipped_precision,
     clipped_schedule,
     confidence_bound,
-    count_derivative_zeros,
     gaussian_tail_model,
     lemma2_tail,
     modified_error_bound,
@@ -708,30 +707,7 @@ class TestConfidenceBound:
 
 
 class TestZeroCounting:
-    def test_standard_normal_derivative(self):
-        deriv = lambda t: -t * np.exp(-0.5 * t**2)
-        assert count_derivative_zeros(deriv, 3.0) == 1
-
-    def test_bimodal_mixture(self):
-        def deriv(t):
-            return -(t - 3) * np.exp(-0.5 * (t - 3) ** 2) - (t + 3) * np.exp(
-                -0.5 * (t + 3) ** 2
-            )
-
-        assert count_derivative_zeros(deriv, 6.0) == 3
-
-    def test_constant_sign(self):
-        assert count_derivative_zeros(lambda t: np.ones_like(t) * 2.0, 4.0) == 0
-
-    def test_merging_close_changes(self):
-        # sin(40 t) has zeros every ~0.0785; a huge tolerance merges them.
-        fn = lambda t: np.sin(40 * t)
-        merged = count_derivative_zeros(fn, 1.0, tolerance=10.0)
-        assert merged == 1
-
     def test_validation(self, unit_tail):
-        with pytest.raises(ValueError):
-            count_derivative_zeros(lambda t: t, 1.0, grid_points=2)
         # A negative count would shrink the log-envelope bound.
         for d_f, d_fn in ((-3, 0), (0, -1)):
             with pytest.raises(ValueError, match="nonnegative"):
@@ -745,8 +721,6 @@ class TestSampleComplexity:
             sample_complexity(0.0, 0.2, EstimatorKind.BHATTACHARYA, model)
         with pytest.raises(ValueError):
             sample_complexity(0.5, 1.0, EstimatorKind.BHATTACHARYA, model)
-        with pytest.raises(ValueError):
-            sample_complexity(0.5, 0.2, EstimatorKind.MMSE_BHATTACHARYA, model)
 
     def test_phi_overflow_is_infeasible_without_warnings(self):
         # snr E[X^2] = 700: phi(k) overflows from k ~ 3.1 on.

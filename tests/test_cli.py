@@ -10,6 +10,7 @@ from fisherinfo import (
     SampleSet,
     bhattacharya,
     gaussian_channel,
+    mmse_from_fisher,
     sample_channel,
 )
 from fisherinfo.bounds import (
@@ -102,6 +103,55 @@ class TestEstimate:
         assert code == 1
         assert out == ""
         assert "snr" in err
+
+    @pytest.mark.parametrize("estimator", ["bhattacharya", "clipped"])
+    def test_mmse_key_is_brown_transform_of_value(self, capsys, estimator):
+        code, out, _ = run_cli(
+            capsys, "estimate", "--channel", "gaussian", "--snr", "1",
+            "--n", "1000", "--estimator", estimator,
+            "--a0", "0.3", "--a1", "0.3", "--kn", "8",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["estimator"] == estimator
+        assert payload["mmse"] == mmse_from_fisher(payload["value"], 1.0)
+
+    def test_mmse_only_when_snr_known(self, capsys, tmp_path):
+        path = tmp_path / "vals.txt"
+        SampleSet(np.linspace(-1, 1, 50)).to_file(path)
+        argv = ("estimate", "--input", str(path), "--estimator", "bhattacharya",
+                "--a0", "0.5", "--a1", "0.5", "--kn", "3", "--grid", "101")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert "mmse" not in json.loads(out)
+        code, out, _ = run_cli(capsys, *argv, "--snr", "2")
+        payload = json.loads(out)
+        assert payload["mmse"] == mmse_from_fisher(payload["value"], 2.0)
+
+    @pytest.mark.parametrize("estimator", ["mmse_bhattacharya", "mmse_clipped"])
+    def test_mmse_estimator_kinds_are_usage_errors(self, capsys, estimator):
+        code, out, err = run_cli(
+            capsys, "estimate", "--channel", "gaussian", "--snr", "1",
+            "--n", "1000", "--estimator", estimator,
+            "--a0", "0.3", "--a1", "0.3", "--kn", "8",
+        )
+        assert code == 1
+        assert out == ""
+        assert "invalid choice" in err
+
+    @pytest.mark.parametrize("flag", ["--a0", "--a1", "--kn"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_config_is_usage_error(self, capsys, flag, value):
+        argv = {"--a0": "0.3", "--a1": "0.3", "--kn": "8", flag: value}
+        code, out, err = run_cli(
+            capsys, "estimate", "--channel", "gaussian", "--snr", "1",
+            "--n", "1000", "--estimator", "bhattacharya",
+            *(tok for item in argv.items() for tok in item),
+        )
+        assert code == 1
+        assert out == ""
+        name = {"--a0": "a0", "--a1": "a1", "--kn": "k_n"}[flag]
+        assert f"{name} must be positive and finite" in err
 
     def test_zero_bandwidth_is_usage_error(self, capsys):
         code, _, _ = run_cli(

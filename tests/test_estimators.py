@@ -20,10 +20,10 @@ from fisherinfo import (
     estimate,
     gaussian_channel,
     integrate,
+    kde_profile,
     lemma_clip_envelope,
     mmse_from_fisher,
     sample_channel,
-    score_at,
 )
 from fisherinfo.estimators import EstimateResult
 
@@ -54,6 +54,13 @@ class TestConfigValidation:
             with pytest.raises(ValueError):
                 EstimatorConfig(**kwargs)
 
+    @pytest.mark.parametrize("name", ["a0", "a1", "k_n"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameters(self, name, value):
+        kwargs = {"a0": 0.3, "a1": 0.3, "k_n": 5.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            EstimatorConfig(**kwargs)
+
     def test_grid_points_odd(self):
         with pytest.raises(ValueError):
             EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0, grid_points=100)
@@ -68,24 +75,27 @@ class TestConfigValidation:
 
 
 class TestScoreAt:
+    # The score f_n'/f_n that the plug-in estimator integrates against f_n'.
     def test_single_sample_analytic(self):
         # One sample at 0 with a = 1: f_n = N(0,1), score(t) = -t.
-        config = EstimatorConfig(a0=1.0, a1=1.0, k_n=10.0)
-        assert score_at(SampleSet([0.0]), config, 2.0) == pytest.approx(-2.0, abs=1e-9)
+        dens, deriv = kde_profile(SampleSet([0.0]), 1.0, 1.0, np.array([2.0]))
+        assert deriv[0] / dens[0] == pytest.approx(-2.0, abs=1e-9)
 
     def test_symmetric_samples_zero_at_origin(self):
-        config = EstimatorConfig(a0=0.5, a1=0.5, k_n=10.0)
-        assert score_at(SampleSet([-1.0, 1.0]), config, 0.0) == pytest.approx(0.0)
+        dens, deriv = kde_profile(SampleSet([-1.0, 1.0]), 0.5, 0.5, np.array([0.0]))
+        assert deriv[0] / dens[0] == pytest.approx(0.0)
 
     def test_floor_keeps_result_finite(self):
+        # f_n underflows to 0 far out on [-100, 100]; the floor absorbs it.
         config = EstimatorConfig(a0=0.1, a1=0.1, k_n=100.0, density_floor=1e-30)
-        out = score_at(SampleSet([0.0]), config, 50.0)
-        assert math.isfinite(out)
+        result = bhattacharya(SampleSet([0.0]), config)
+        assert math.isfinite(result.value)
+        assert result.floored_fraction > 0.9
 
     def test_zero_floor_zero_density_raises(self):
         config = EstimatorConfig(a0=0.1, a1=0.1, k_n=100.0, density_floor=0.0)
         with pytest.raises(ZeroDivisionError):
-            score_at(SampleSet([0.0]), config, 1e6)
+            bhattacharya(SampleSet([0.0]), config)
 
 
 class TestBhattacharya:
@@ -161,10 +171,8 @@ class TestClipped:
         env = lemma_clip_envelope(1.0, 1.0)
         config = EstimatorConfig(a0=0.4, a1=0.4, k_n=6.0).with_envelope(env)
         value = clipped(s, config).value
-        from fisherinfo.kernels import kde_deriv_at
-
         upper = integrate(
-            lambda t: np.abs(env(t)) * np.abs(kde_deriv_at(s, 0.4, t)),
+            lambda t: np.abs(env(t)) * np.abs(kde_profile(s, 0.4, 0.4, t)[1]),
             -6.0, 6.0, config.grid_points,
         )
         assert value <= upper + 1e-12
@@ -221,20 +229,16 @@ class TestMmse:
 
 
 class TestDispatch:
-    def test_mmse_kinds_transform_base_value(self):
-        s = sample_channel(gaussian_channel(1.0), 2000, seed=9)
-        config = EstimatorConfig(a0=0.3, a1=0.3, k_n=8.0)
-        base = estimate(s, config, EstimatorKind.BHATTACHARYA)
-        wrapped = estimate(s, config, EstimatorKind.MMSE_BHATTACHARYA, snr=1.0)
-        assert wrapped.value == pytest.approx(
-            mmse_from_fisher(base.value, 1.0)
+    def test_two_way_dispatch(self):
+        assert [k.value for k in EstimatorKind] == ["bhattacharya", "clipped"]
+        s = sample_channel(gaussian_channel(1.0), 500, seed=9)
+        config = EstimatorConfig(a0=0.3, a1=0.3, k_n=8.0).with_envelope(
+            lemma_clip_envelope(1.0, 1.0)
         )
-        assert wrapped.estimator is EstimatorKind.MMSE_BHATTACHARYA
-
-    def test_mmse_requires_snr(self):
-        config = EstimatorConfig(a0=0.3, a1=0.3, k_n=8.0)
-        with pytest.raises(ValueError, match="snr"):
-            estimate(SampleSet([0.0]), config, EstimatorKind.MMSE_BHATTACHARYA)
+        assert estimate(s, config, EstimatorKind.BHATTACHARYA) == bhattacharya(s, config)
+        assert estimate(s, config, EstimatorKind.CLIPPED) == clipped(s, config)
+        with pytest.raises(ValueError, match="unknown estimator kind"):
+            estimate(s, config, "mmse_bhattacharya")
 
     def test_result_serialization(self):
         config = EstimatorConfig(a0=1.0, a1=1.0, k_n=5.0)

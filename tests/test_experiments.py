@@ -64,6 +64,15 @@ class TestConfig:
                  "estimator_config": {"a0": 0.3, "a1": 0.3, "k_n": 5, "junk": 1}}
             )
 
+    @pytest.mark.parametrize("kind", ["mmse_bhattacharya", "mmse_clipped"])
+    def test_mmse_estimator_rejected(self, kind):
+        # The MMSE is mmse_from_fisher of a Fisher estimate, not an estimator.
+        with pytest.raises(ValueError, match=kind):
+            ExperimentConfig.from_dict(
+                {"kind": "histogram", "channel": {"input": "gaussian", "snr": 1},
+                 "estimator": kind}
+            )
+
     def test_json_round_trip(self, tmp_path):
         config = _config(estimator_config=EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0))
         path = tmp_path / "config.json"
