@@ -461,8 +461,9 @@ _LOG_E1_GRID = {
     EstimatorKind.CLIPPED: np.log(np.geomspace(1e-9, 0.5, 72)),
 }
 #: Zoom passes over k around the incumbent, points per pass, golden-section
-#: iterations over log eps1 at each k, and Newton steps of the n solve.
-_ZOOM_PASSES, _ZOOM_POINTS, _GOLDEN_ITERS, _NEWTON_STEPS = 3, 9, 12, 4
+#: iterations over log eps1 at each k, and Newton and then ulp steps of the
+#: n solve.
+_ZOOM_PASSES, _ZOOM_POINTS, _GOLDEN_ITERS, _NEWTON_STEPS, _ULP_STEPS = 3, 9, 12, 4, 8
 _LOG10_N_MAX = 40.0
 #: Relative margin of eps0 inside the precision boundary: far above the
 #: rounding of the closed form, so the bound checked at eps0 meets the
@@ -486,8 +487,8 @@ def _solve_log10_n(rate0, rate1, target_perr):
     decreasing, with its root in [ln(2/p)/m, ln(4/p)/m]. Newton steps from
     the lower end climb to the root without passing it; since h' <= -m, a
     last step h/m lands at or past it. Where rounding leaves the confidence
-    as computed above p, log10 n moves up one ulp; any entry still above
-    is inf.
+    as computed above p, log10 n moves up an ulp at a time, at most
+    _ULP_STEPS times; any entry still above is inf.
     """
     m, g = np.minimum(rate0, rate1), np.abs(rate0 - rate1)
     log_2_p = math.log(2.0 / target_perr)
@@ -509,8 +510,13 @@ def _solve_log10_n(rate0, rate1, target_perr):
         n = 10.0**l10
         return 2.0 * np.exp(-rate0 * n) + 2.0 * np.exp(-rate1 * n) > target_perr
 
-    l10 = np.where(short(l10), np.nextafter(l10, np.inf), l10)
-    out[live] = np.where(short(l10) | (l10 > _LOG10_N_MAX), np.inf, l10)
+    above = short(l10)
+    for _ in range(_ULP_STEPS):
+        if not above.any():
+            break
+        l10 = np.where(above, np.nextafter(l10, np.inf), l10)
+        above = short(l10)
+    out[live] = np.where(above | (l10 > _LOG10_N_MAX), np.inf, l10)
     return out
 
 

@@ -109,7 +109,7 @@ def sample_channel(model: ChannelModel, n: int, seed: int) -> SampleSet:
             raise ValueError("custom sampler must return shape (n,)")
     z = gen.standard_normal(n)
     y = math.sqrt(model.snr) * x + z
-    return SampleSet(y, seed=seed, source=f"{model.input.value} channel, snr={model.snr}")
+    return SampleSet(y)
 
 
 def _require_builtin(model: ChannelModel):
@@ -174,5 +174,11 @@ def true_density_deriv(model: ChannelModel, t):
 
 
 def true_score(model: ChannelModel, t):
-    """Score f_Y'/f_Y of the output density."""
-    return true_density_deriv(model, t) / true_density(model, t)
+    """Score f_Y'/f_Y of the output density in closed form, which does not
+    underflow where f_Y does: -t/(1+snr) for Gaussian input, and
+    m tanh(m t) - t with m = sqrt(snr) for binary input."""
+    _require_builtin(model)
+    t, m = np.asarray(t, dtype=float), math.sqrt(model.snr)
+    gaussian = model.input is InputLaw.GAUSSIAN_STD
+    out = -t / (1.0 + model.snr) if gaussian else m * np.tanh(m * t) - t
+    return float(out) if out.ndim == 0 else out

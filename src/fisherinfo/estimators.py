@@ -1,17 +1,18 @@
 """Plug-in Fisher-information estimators and the MMSE transform.
 
-The plug-in estimator integrates (f_n')^2 / f_n over a truncated interval
-[-k_n, k_n]; the clipped variant caps the estimated score |f_n'/f_n| by a
-known envelope before integrating it against |f_n'|, which trades a tail
-assumption on 1/f for a score bound and has far better finite-sample
-guarantees.
+Both estimators integrate min(|rho_n|, |rho_bar|) * |f_n'| over a
+truncated interval [-k_n, k_n], where rho_n = f_n'/f_n is the estimated
+score. The clipped estimator caps it by a known envelope rho_bar, which
+trades a tail assumption on 1/f for a score bound and has far better
+finite-sample guarantees; the plug-in estimator is the same integral with
+no cap, (f_n')^2 / f_n.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -41,7 +42,6 @@ class EstimatorConfig:
     a1: float
     k_n: float
     grid_points: int = DEFAULT_GRID_POINTS
-    density_floor: float = DEFAULT_DENSITY_FLOOR
     clip_envelope: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
@@ -50,8 +50,6 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.grid_points < 3 or self.grid_points % 2 == 0:
             raise ValueError("grid_points must be odd and >= 3")
-        if self.density_floor < 0:
-            raise ValueError("density_floor must be nonnegative")
 
     def with_envelope(self, rho_bar) -> "EstimatorConfig":
         return replace(self, clip_envelope=rho_bar)
@@ -65,12 +63,7 @@ class EstimateResult:
     floored_fraction: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "estimator": self.estimator.value,
-            "clip_active_fraction": self.clip_active_fraction,
-            "floored_fraction": self.floored_fraction,
-        }
+        return {**asdict(self), "estimator": self.estimator.value}
 
 
 def default_bandwidth(n: int) -> float:
@@ -101,53 +94,41 @@ def constant_clip_envelope(level: float):
     return lambda t: np.full_like(np.asarray(t, dtype=float), level)
 
 
-def _floored_density(dens: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
-    if floor == 0.0 and np.any(dens <= 0.0):
-        raise ZeroDivisionError(
-            "density estimate is zero on the grid and density_floor is 0"
-        )
-    floored = np.maximum(dens, floor)
-    return floored, float(np.mean(dens < floor))
-
-
-def _profile_on_grid(samples, config):
+def _estimate(samples: SampleSet, config: EstimatorConfig, kind: EstimatorKind,
+              rho_bar) -> EstimateResult:
+    """Integral of min(|rho_n|, |rho_bar|) * |f_n'| over [-k_n, k_n], with
+    rho_n = f_n'/max(f_n, floor); no cap when rho_bar is None."""
     grid = simpson_nodes(-config.k_n, config.k_n, config.grid_points)
     dens, deriv = kde_profile(samples, config.a0, config.a1, grid)
-    return grid, dens, deriv
+    floored_frac = float(np.mean(dens < DEFAULT_DENSITY_FLOOR))
+    slope = np.abs(deriv)
+    rho = slope / np.maximum(dens, DEFAULT_DENSITY_FLOOR)
+    clip_frac = 0.0
+    if rho_bar is not None:
+        cap = np.abs(np.asarray(rho_bar(grid), dtype=float))
+        if not np.all(np.isfinite(cap)):
+            raise ValueError("clip_envelope must be finite on [-k_n, k_n]")
+        clip_frac = float(np.mean(rho > cap))
+        rho = np.minimum(rho, cap)
+    return EstimateResult(
+        value=integrate_values(rho * slope, -config.k_n, config.k_n),
+        estimator=kind,
+        clip_active_fraction=clip_frac,
+        floored_fraction=floored_frac,
+    )
 
 
 def bhattacharya(samples: SampleSet, config: EstimatorConfig) -> EstimateResult:
-    """Plug-in estimate of the Fisher information over [-k_n, k_n]."""
-    grid, dens, deriv = _profile_on_grid(samples, config)
-    floored, floored_frac = _floored_density(dens, config.density_floor)
-    value = integrate_values(deriv * deriv / floored, -config.k_n, config.k_n)
-    return EstimateResult(
-        value=value,
-        estimator=EstimatorKind.BHATTACHARYA,
-        floored_fraction=floored_frac,
-    )
+    """Plug-in estimate of the Fisher information over [-k_n, k_n]: the
+    clipped integrand with no cap, so (f_n')^2 / f_n."""
+    return _estimate(samples, config, EstimatorKind.BHATTACHARYA, None)
 
 
 def clipped(samples: SampleSet, config: EstimatorConfig) -> EstimateResult:
     """Score-clipped estimate: integral of min(|rho_n|, |rho_bar|) * |f_n'|."""
     if config.clip_envelope is None:
         raise ValueError("clipped estimator requires a clip_envelope")
-    grid, dens, deriv = _profile_on_grid(samples, config)
-    floored, floored_frac = _floored_density(dens, config.density_floor)
-    rho = np.abs(deriv) / floored
-    rho_bar = np.abs(np.asarray(config.clip_envelope(grid), dtype=float))
-    if not np.all(np.isfinite(rho_bar)):
-        raise ValueError("clip_envelope must be finite on [-k_n, k_n]")
-    clip_frac = float(np.mean(rho > rho_bar))
-    value = integrate_values(
-        np.minimum(rho, rho_bar) * np.abs(deriv), -config.k_n, config.k_n
-    )
-    return EstimateResult(
-        value=value,
-        estimator=EstimatorKind.CLIPPED,
-        clip_active_fraction=clip_frac,
-        floored_fraction=floored_frac,
-    )
+    return _estimate(samples, config, EstimatorKind.CLIPPED, config.clip_envelope)
 
 
 def mmse_from_fisher(fisher: float, snr: float) -> float:

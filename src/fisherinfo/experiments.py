@@ -70,8 +70,22 @@ _SERIES_SUFFIX = {
     ExperimentKind.COMPLEXITY: "complexity",
 }
 
-_DEFAULT_EPS_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
-_DEFAULT_PERR_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
+#: COMPLEXITY sweeps eps over EPS_GRID at PERR_FIXED and p_err over PERR_GRID
+#: at EPS_FIXED; DENSITY_OVERLAY evaluates on OVERLAY_GRID_POINTS nodes of
+#: [-OVERLAY_HALF_WIDTH, OVERLAY_HALF_WIDTH].
+EPS_GRID = PERR_GRID = tuple(round(0.1 * i, 1) for i in range(1, 10))
+EPS_FIXED, PERR_FIXED = 0.5, 0.2
+OVERLAY_HALF_WIDTH, OVERLAY_GRID_POINTS = 8.0, 801
+
+#: The fields each kind reads besides kind, channel and output_path; any
+#: other field must keep its default.
+_READS = {
+    ExperimentKind.DENSITY_OVERLAY: {"n_list", "estimator_config", "seed"},
+    ExperimentKind.SNR_SWEEP: {"n_list", "estimator_config", "seed", "snr_grid"},
+    ExperimentKind.HISTOGRAM: {"n_list", "estimator_config", "seed", "trials",
+                               "estimator", "threads"},
+    ExperimentKind.COMPLEXITY: set(),
+}
 
 
 @dataclass(frozen=True)
@@ -87,14 +101,6 @@ class ExperimentConfig:
     snr_grid: tuple[float, ...] = ()
     seed: int = 0
     output_path: str = "experiment"
-    estimate_bin_width: float | None = None
-    error_bin_width: float | None = None
-    eps_grid: tuple[float, ...] = _DEFAULT_EPS_GRID
-    perr_grid: tuple[float, ...] = _DEFAULT_PERR_GRID
-    eps_fixed: float = 0.5
-    perr_fixed: float = 0.2
-    overlay_half_width: float = 8.0
-    overlay_grid_points: int = 801
     threads: int = 1
 
     def __post_init__(self):
@@ -102,10 +108,21 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if not self.n_list or any(n < 1 for n in self.n_list):
             raise ValueError("n_list must be nonempty with positive counts")
-        if self.kind is ExperimentKind.SNR_SWEEP and not self.snr_grid:
-            raise ValueError("SNR_SWEEP requires a nonempty snr_grid")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        reads = _READS[self.kind] | {"kind", "channel", "output_path"}
+        unread = [f.name for f in dataclasses.fields(self)
+                  if f.name not in reads and getattr(self, f.name) != f.default]
+        if unread:
+            raise ValueError(f"{self.kind.value} experiments do not read "
+                             + ", ".join(unread))
+        if self.kind is ExperimentKind.SNR_SWEEP and not (
+            self.snr_grid and len(self.n_list) == 1
+        ):
+            raise ValueError("SNR_SWEEP needs a nonempty snr_grid and one sample size")
+        if getattr(self.estimator_config, "clip_envelope", None) is not None:
+            raise ValueError("experiments derive the clip envelope from the "
+                             "channel; estimator_config must not carry one")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -121,12 +138,12 @@ class ExperimentConfig:
             kwargs["estimator"] = EstimatorKind(d["estimator"])
         if d.get("estimator_config") is not None:
             ec = dict(d["estimator_config"])
-            known = {"a0", "a1", "k_n", "grid_points", "density_floor"}
-            bad = set(ec) - known
+            known = {f.name for f in dataclasses.fields(EstimatorConfig)}
+            bad = set(ec) - (known - {"clip_envelope"})
             if bad:
                 raise ValueError(f"unknown estimator_config keys: {sorted(bad)}")
             kwargs["estimator_config"] = EstimatorConfig(**ec)
-        for key in ("n_list", "snr_grid", "eps_grid", "perr_grid"):
+        for key in ("n_list", "snr_grid"):
             if key in d:
                 kwargs[key] = tuple(d[key])
         return cls(**kwargs)
@@ -150,8 +167,6 @@ class ExperimentConfig:
             d["estimator_config"] = ec
         d["n_list"] = list(self.n_list)
         d["snr_grid"] = list(self.snr_grid)
-        d["eps_grid"] = list(self.eps_grid)
-        d["perr_grid"] = list(self.perr_grid)
         return d
 
 
@@ -246,8 +261,7 @@ def run_density_overlay(config: ExperimentConfig) -> ExperimentReport:
     _check_kind(config, ExperimentKind.DENSITY_OVERLAY)
     from .kernels import kde_profile
 
-    half = config.overlay_half_width
-    grid = np.linspace(-half, half, config.overlay_grid_points)
+    grid = np.linspace(-OVERLAY_HALF_WIDTH, OVERLAY_HALF_WIDTH, OVERLAY_GRID_POINTS)
     cols = ["t", "f_true", "f_deriv_true"]
     data = [grid]
     try:
@@ -353,16 +367,9 @@ def _fixed_width_histogram(values: np.ndarray, width: float) -> dict:
     return {"edges": [float(e) for e in edges], "counts": [int(c) for c in counts]}
 
 
-def _estimate_bin_width(config: ExperimentConfig, n: int) -> float:
-    if config.estimate_bin_width is not None:
-        return config.estimate_bin_width
-    return 0.01 if n < 10_000 else 0.003
-
-
-def _error_bin_width(config: ExperimentConfig, n: int) -> float:
-    if config.error_bin_width is not None:
-        return config.error_bin_width
-    return 0.005 if n < 10_000 else 0.002
+def _bin_widths(n: int) -> tuple[float, float]:
+    """Histogram bin widths (estimate, |error|) at sample size n."""
+    return (0.01, 0.005) if n < 10_000 else (0.003, 0.002)
 
 
 def _run_trials(config: ExperimentConfig, n: int, seed_offset: int) -> np.ndarray:
@@ -408,12 +415,13 @@ def run_histogram(config: ExperimentConfig) -> ExperimentReport:
         bias[label] = float(np.mean(estimates) - truth_value)
         variance[label] = float(np.var(estimates))
         summary["degenerate_variance"][label] = bool(config.trials == 1)
+        estimate_width, error_width = _bin_widths(n)
         histograms[f"estimates_{label}"] = _fixed_width_histogram(
-            estimates, _estimate_bin_width(config, n)
+            estimates, estimate_width
         )
         if np.all(np.isfinite(errors)):
             histograms[f"abs_error_{label}"] = _fixed_width_histogram(
-                errors, _error_bin_width(config, n)
+                errors, error_width
             )
             summary["error_quantiles"][label] = {
                 str(q): float(np.quantile(errors, q))
@@ -451,10 +459,10 @@ def run_complexity(config: ExperimentConfig) -> ExperimentReport:
         except InfeasibleTargetError:
             return math.inf
 
-    cells = [(0.0, eps, config.perr_fixed) for eps in config.eps_grid]
-    cells += [(1.0, config.eps_fixed, perr) for perr in config.perr_grid]
+    cells = [(0.0, eps, PERR_FIXED) for eps in EPS_GRID]
+    cells += [(1.0, EPS_FIXED, perr) for perr in PERR_GRID]
     kinds = (EstimatorKind.BHATTACHARYA, EstimatorKind.CLIPPED)
-    # (eps_fixed, perr_fixed) can lie on both sweeps: solve each pair once.
+    # (EPS_FIXED, PERR_FIXED) lies on both sweeps: solve each pair once.
     pairs = dict.fromkeys(c[1:] for c in cells)
     solved = {pair: [cell(*pair, kind) for kind in kinds] for pair in pairs}
     rows = [[*c, *solved[c[1:]]] for c in cells]

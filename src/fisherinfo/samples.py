@@ -14,11 +14,9 @@ import numpy as np
 
 @dataclass(frozen=True)
 class SampleSet:
-    """An ordered collection of real observations plus provenance."""
+    """An ordered collection of real observations."""
 
     values: np.ndarray
-    seed: int | None = None
-    source: str = ""
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -33,10 +31,10 @@ class SampleSet:
         return int(self.values.size)
 
     def shifted(self, c: float) -> "SampleSet":
-        return SampleSet(self.values + c, seed=self.seed, source=self.source)
+        return SampleSet(self.values + c)
 
     @classmethod
-    def from_file(cls, path: str | Path, source: str | None = None) -> "SampleSet":
+    def from_file(cls, path: str | Path) -> "SampleSet":
         path = Path(path)
         vals = []
         with open(path) as fh:
@@ -55,7 +53,7 @@ class SampleSet:
                     ) from None
         if not vals:
             raise ValueError(f"{path}: no samples found")
-        return cls(np.array(vals), source=source if source is not None else str(path))
+        return cls(np.array(vals))
 
     def to_file(self, path: str | Path) -> None:
         with open(path, "w") as fh:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -435,6 +435,26 @@ class TestClippedErrorBound:
                 assert phi1 == pytest.approx(q1, abs=1e-8), (model, k)
                 assert phi2 == pytest.approx(q2, abs=1e-8), (model, k)
 
+    def test_score_integrals_far_tail(self):
+        # f_Y and f_Y' both underflow to 0 at |t| = 60; the score does not.
+        phi1, phi2 = channel_score_integrals(gaussian_channel(1.0), 60.0)
+        assert phi1 == pytest.approx(60.0**2 / 2.0, rel=1e-12)
+        assert phi2 == pytest.approx(2.0 * 60.0**3 / (3.0 * 2.0**2), rel=1e-12)
+        model = binary_channel(3.0)
+        phi1, phi2 = channel_score_integrals(model, 60.0)
+        # |score| has kinks at 0 and at the roots of t = m tanh(m t).
+        m = math.sqrt(3.0)
+        root = m
+        for _ in range(50):
+            root -= (m * math.tanh(m * root) - root) / (
+                m * m / math.cosh(m * root) ** 2 - 1.0
+            )
+        points = [-root, 0.0, root]
+        q1, _ = quad(lambda t: abs(true_score(model, t)), -60, 60, points=points)
+        q2, _ = quad(lambda t: true_score(model, t) ** 2, -60, 60, points=points)
+        assert phi1 == pytest.approx(q1, rel=1e-5)
+        assert phi2 == pytest.approx(q2, rel=1e-8)
+
     @settings(max_examples=20, deadline=None)
     @given(
         factory=st.sampled_from([gaussian_channel, binary_channel]),
@@ -763,6 +783,13 @@ class TestSampleComplexity:
         rate0=st.floats(1e-30, 1.0),
         rate1=st.floats(1e-30, 1.0),
         perr=st.floats(1e-6, 0.99, exclude_min=True, exclude_max=True),
+    )
+    # The Newton root and the point one ulp above it both round to a
+    # confidence above p; two ulps above it is feasible.
+    @example(
+        rate0=0.12127559375236888,
+        rate1=0.052845419339232716,
+        perr=0.8959276218892389,
     )
     def test_n_solve_is_feasible_and_tight(self, rate0, rate1, perr):
         # 2 e^(-m n) <= 2 e^(-A0 n) + 2 e^(-A1 n) <= 4 e^(-m n), m = min(A0, A1),

@@ -193,6 +193,21 @@ class TestDensities:
             phi = gaussian_tail_model(snr, model.variance, model.second_moment).phi
             assert np.all(1.0 / true_density(model, grid) <= phi(grid) + 1e-9)
 
+    @pytest.mark.parametrize("factory", [gaussian_channel, binary_channel])
+    @pytest.mark.parametrize("snr", [0.0, 0.5, 3.0])
+    def test_score_closed_form(self, factory, snr):
+        # f'/f where neither underflows; finite and linear in the far tail.
+        model = factory(snr)
+        grid = np.linspace(-6, 6, 241)
+        ratio = true_density_deriv(model, grid) / true_density(model, grid)
+        np.testing.assert_allclose(true_score(model, grid), ratio, rtol=1e-9, atol=1e-12)
+        if factory is gaussian_channel:
+            expected = [200.0 / (1.0 + snr), -200.0 / (1.0 + snr)]
+        else:
+            expected = [200.0 - math.sqrt(snr), math.sqrt(snr) - 200.0]
+        far = true_score(model, np.array([-200.0, 200.0]))
+        np.testing.assert_allclose(far, expected, rtol=1e-12)
+
     @pytest.mark.parametrize("snr", [1.0, 5.0])
     def test_score_envelope_sound(self, snr):
         grid = np.linspace(-6, 6, 241)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fisherinfo import (
@@ -65,10 +65,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0, grid_points=100)
 
-    def test_density_floor_nonnegative(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0, density_floor=-1e-9)
-
     def test_defaults(self):
         assert default_bandwidth(10_000) == pytest.approx(10_000 ** (-1 / 6))
         assert default_truncation(10_000) == pytest.approx(math.log(10_000))
@@ -87,15 +83,10 @@ class TestScoreAt:
 
     def test_floor_keeps_result_finite(self):
         # f_n underflows to 0 far out on [-100, 100]; the floor absorbs it.
-        config = EstimatorConfig(a0=0.1, a1=0.1, k_n=100.0, density_floor=1e-30)
+        config = EstimatorConfig(a0=0.1, a1=0.1, k_n=100.0)
         result = bhattacharya(SampleSet([0.0]), config)
         assert math.isfinite(result.value)
         assert result.floored_fraction > 0.9
-
-    def test_zero_floor_zero_density_raises(self):
-        config = EstimatorConfig(a0=0.1, a1=0.1, k_n=100.0, density_floor=0.0)
-        with pytest.raises(ZeroDivisionError):
-            bhattacharya(SampleSet([0.0]), config)
 
 
 class TestBhattacharya:
@@ -178,14 +169,14 @@ class TestClipped:
         assert value <= upper + 1e-12
 
     def test_inactivity_identity_exact(self):
-        # With an envelope above the realized score everywhere and no
-        # density floor, the two estimators integrate identical values.
+        # With an envelope above the realized score everywhere, the two
+        # estimators integrate identical values.
         s = SampleSet([0.0, 0.5])
-        config = EstimatorConfig(
-            a0=1.0, a1=1.0, k_n=3.0, density_floor=0.0
-        ).with_envelope(constant_clip_envelope(100.0))
-        base = EstimatorConfig(a0=1.0, a1=1.0, k_n=3.0, density_floor=0.0)
-        assert clipped(s, config).value == bhattacharya(s, base).value
+        base = EstimatorConfig(a0=1.0, a1=1.0, k_n=3.0)
+        config = base.with_envelope(constant_clip_envelope(100.0))
+        result = clipped(s, config)
+        assert result.clip_active_fraction == 0.0
+        assert result.value == bhattacharya(s, base).value
 
     def test_non_finite_envelope_rejected(self):
         config = EstimatorConfig(a0=0.5, a1=0.5, k_n=5.0).with_envelope(
@@ -258,3 +249,31 @@ class TestShiftEquivariance:
         before = bhattacharya(s, base).value
         after = bhattacharya(s.shifted(c), wide).value
         assert after == pytest.approx(before, abs=1e-8)
+
+
+class TestScaling:
+    # I(cY) = I(Y)/c^2: scale the samples, bandwidths and window by c and a
+    # constant envelope by 1/c, and f_n becomes f_n(t/c)/c, so both
+    # integrands scale by 1/c^3 on a window c times as wide.
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=-2, max_value=2), min_size=1, max_size=25),
+        st.floats(min_value=0.5, max_value=2),
+        st.floats(min_value=0.1, max_value=10),
+        st.floats(min_value=0.1, max_value=10),
+    )
+    def test_scaling_law(self, values, a, c, level):
+        s, k = SampleSet(values), 3.0
+        base = EstimatorConfig(a0=a, a1=a, k_n=k)
+        scaled = EstimatorConfig(a0=c * a, a1=c * a, k_n=c * k)
+        pairs = [
+            (bhattacharya(s, base), bhattacharya(SampleSet(c * s.values), scaled)),
+            (
+                clipped(s, base.with_envelope(constant_clip_envelope(level))),
+                clipped(SampleSet(c * s.values),
+                        scaled.with_envelope(constant_clip_envelope(level / c))),
+            ),
+        ]
+        for before, after in pairs:
+            assume(before.floored_fraction == after.floored_fraction == 0.0)
+            assert after.value * c**2 == pytest.approx(before.value, rel=1e-9)

@@ -10,16 +10,19 @@ import numpy as np
 import pytest
 
 import fisherinfo
+import fisherinfo.experiments as experiments
 from fisherinfo import (
     EstimatorConfig,
     EstimatorKind,
     ExperimentConfig,
     ExperimentKind,
+    constant_clip_envelope,
     gaussian_channel,
     sample_channel,
     true_fisher,
 )
 from fisherinfo.experiments import (
+    _READS,
     _metadata,
     run_complexity,
     run_density_overlay,
@@ -30,14 +33,19 @@ from fisherinfo.experiments import (
 
 
 def _config(**overrides):
+    """A small config; the defaults below are set only where the kind
+    reads them."""
+    kind = overrides.get("kind", ExperimentKind.HISTOGRAM)
     defaults = dict(
-        kind=ExperimentKind.HISTOGRAM,
+        kind=kind,
         channel=gaussian_channel(1.0),
         n_list=(200,),
         trials=5,
         seed=7,
         output_path="exp",
     )
+    reads = _READS[kind] | {"kind", "channel", "output_path"}
+    defaults = {k: v for k, v in defaults.items() if k in reads}
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
 
@@ -86,17 +94,56 @@ class TestConfig:
         with pytest.raises(ValueError, match="object"):
             ExperimentConfig.from_json_file(path)
 
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            (ExperimentKind.DENSITY_OVERLAY, "trials", 3),
+            (ExperimentKind.SNR_SWEEP, "threads", 2),
+            (ExperimentKind.COMPLEXITY, "estimator", EstimatorKind.CLIPPED),
+            (ExperimentKind.HISTOGRAM, "snr_grid", (1.0,)),
+            (ExperimentKind.COMPLEXITY, "n_list", (200,)),
+            (ExperimentKind.COMPLEXITY, "seed", 7),
+            (ExperimentKind.COMPLEXITY, "estimator_config",
+             EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0)),
+        ],
+    )
+    def test_unread_field_rejected(self, kind, field, value):
+        extra = {"snr_grid": (1.0,)} if kind is ExperimentKind.SNR_SWEEP else {}
+        _config(kind=kind, **extra)
+        with pytest.raises(ValueError, match=f"do not read {field}"):
+            _config(kind=kind, **{**extra, field: value})
+
+    def test_unread_key_in_file_rejected(self):
+        with pytest.raises(ValueError, match="do not read n_list, seed"):
+            ExperimentConfig.from_dict(
+                {"kind": "complexity", "channel": {"input": "gaussian", "snr": 1},
+                 "n_list": [100], "seed": 3}
+            )
+
+    def test_snr_sweep_reads_one_sample_size(self):
+        with pytest.raises(ValueError, match="one sample size"):
+            _config(kind=ExperimentKind.SNR_SWEEP, snr_grid=(1.0,), n_list=(100, 200))
+
+    def test_envelope_in_estimator_config_rejected(self):
+        ec = EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0)
+        with pytest.raises(ValueError, match="envelope"):
+            _config(estimator_config=ec.with_envelope(constant_clip_envelope(1.0)))
+        with pytest.raises(ValueError, match="unknown estimator_config keys"):
+            ExperimentConfig.from_dict(
+                {"kind": "histogram", "channel": {"input": "gaussian", "snr": 1},
+                 "estimator_config": {"a0": 0.3, "a1": 0.3, "k_n": 5,
+                                      "clip_envelope": 1.0}}
+            )
+
     def test_kind_mismatch(self):
         with pytest.raises(ValueError, match="kind"):
             run_density_overlay(_config())
 
 
 class TestDensityOverlay:
-    def test_report_structure_and_symmetry(self):
-        config = _config(
-            kind=ExperimentKind.DENSITY_OVERLAY, n_list=(50, 500),
-            overlay_grid_points=201,
-        )
+    def test_report_structure_and_symmetry(self, monkeypatch):
+        monkeypatch.setattr(experiments, "OVERLAY_GRID_POINTS", 201)
+        config = _config(kind=ExperimentKind.DENSITY_OVERLAY, n_list=(50, 500))
         report = run_density_overlay(config)
         grid = report.series.rows[:, 0]
         assert np.allclose(grid, -grid[::-1])
@@ -104,14 +151,14 @@ class TestDensityOverlay:
         assert "f_n50" in report.series.columns
         assert report.metadata["config"]["seed"] == 7
 
-    def test_larger_n_describes_density_better(self):
+    def test_larger_n_describes_density_better(self, monkeypatch):
         # Paired comparison across independent seeds.
+        monkeypatch.setattr(experiments, "OVERLAY_GRID_POINTS", 401)
         wins_density, wins_deriv_worse = 0, 0
         seeds = range(10)
         for seed in seeds:
             config = _config(
-                kind=ExperimentKind.DENSITY_OVERLAY, n_list=(50, 5000),
-                seed=seed, overlay_grid_points=401,
+                kind=ExperimentKind.DENSITY_OVERLAY, n_list=(50, 5000), seed=seed,
             )
             report = run_density_overlay(config)
             errs = report.summary["sup_density_error"]
@@ -206,20 +253,16 @@ class TestHistogram:
 
 
 class TestComplexity:
-    def test_table_shape_and_dominance(self):
-        config = _config(
-            kind=ExperimentKind.COMPLEXITY,
-            eps_grid=(0.4, 0.6), perr_grid=(0.3,),
-        )
-        report = run_complexity(config)
+    def test_table_shape_and_dominance(self, monkeypatch):
+        monkeypatch.setattr(experiments, "EPS_GRID", (0.4, 0.6))
+        monkeypatch.setattr(experiments, "PERR_GRID", (0.3,))
+        report = run_complexity(_config(kind=ExperimentKind.COMPLEXITY))
         rows = report.series.rows
         assert rows.shape == (3, 5)
         assert np.all(rows[:, 4] < rows[:, 3])  # clipped needs fewer samples
         assert report.summary["infeasible_cells"] == 0
 
     def test_shared_cell_solved_once(self, monkeypatch):
-        import fisherinfo.experiments as experiments
-
         calls = []
         solve = experiments.sample_complexity
 
@@ -228,21 +271,18 @@ class TestComplexity:
             return solve(eps, perr, kind, channel)
 
         monkeypatch.setattr(experiments, "sample_complexity", counted)
-        # (eps_fixed, perr_fixed) = (0.5, 0.2) lies on both sweeps.
-        config = _config(
-            kind=ExperimentKind.COMPLEXITY,
-            eps_grid=(0.4, 0.5), perr_grid=(0.2, 0.3),
-        )
-        rows = run_complexity(config).series.rows
+        # (EPS_FIXED, PERR_FIXED) = (0.5, 0.2) lies on both sweeps.
+        monkeypatch.setattr(experiments, "EPS_GRID", (0.4, 0.5))
+        monkeypatch.setattr(experiments, "PERR_GRID", (0.2, 0.3))
+        rows = run_complexity(_config(kind=ExperimentKind.COMPLEXITY)).series.rows
         assert len(calls) == len(set(calls)) == 6
         np.testing.assert_array_equal(rows[1], [0.0, 0.5, 0.2, *rows[2, 3:]])
         np.testing.assert_array_equal(rows[2, :3], [1.0, 0.5, 0.2])
 
-    def test_infeasible_cells_marked_not_fatal(self):
-        config = _config(
-            kind=ExperimentKind.COMPLEXITY, eps_grid=(1e-12,), perr_grid=(),
-        )
-        report = run_complexity(config)
+    def test_infeasible_cells_marked_not_fatal(self, monkeypatch):
+        monkeypatch.setattr(experiments, "EPS_GRID", (1e-12,))
+        monkeypatch.setattr(experiments, "PERR_GRID", ())
+        report = run_complexity(_config(kind=ExperimentKind.COMPLEXITY))
         assert math.isinf(report.series.rows[0, 3])
         assert report.summary["infeasible_cells"] == 1
 
@@ -267,9 +307,10 @@ class TestDispatch:
     def test_example_config_runs(self, name, tmp_path):
         path = Path(__file__).parent.parent / "examples" / f"{name}.json"
         config = ExperimentConfig.from_json_file(path)
-        config = dataclasses.replace(
-            config, n_list=(200,), trials=min(config.trials, 2),
-            output_path=str(tmp_path / name),
-        )
+        small = {"n_list": (200,), "trials": min(config.trials, 2),
+                 "output_path": str(tmp_path / name)}
+        config = dataclasses.replace(config, **{
+            k: v for k, v in small.items() if k in _READS[config.kind] | {"output_path"}
+        })
         paths = run_experiment(config).write(config.output_path)
         assert all(p.stat().st_size > 0 for p in paths)

@@ -29,10 +29,8 @@ class TestSampleSet:
             SampleSet([[1.0, 2.0]])
 
     def test_shifted(self):
-        s = SampleSet([1.0, 2.0], seed=5, source="test")
-        t = s.shifted(1.5)
+        t = SampleSet([1.0, 2.0]).shifted(1.5)
         assert np.allclose(t.values, [2.5, 3.5])
-        assert t.seed == 5 and t.source == "test"
 
 
 class TestFileIO:
