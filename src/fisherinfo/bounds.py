@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import ChannelModel, InputLaw, true_score
 from .errors import HypothesisViolationError, InfeasibleTargetError
-from .estimators import EstimatorKind
+from .estimators import EstimatorKind, lemma_clip_envelope
 from .kernels import deviation_rate, rate_optimal_bandwidth
 from .quadrature import integrate
 
@@ -160,17 +160,19 @@ def gaussian_tail_model(
     """TailModel for an arbitrary input in standard Gaussian noise.
 
     Lemma 1: phi(t) = sqrt(2 pi) exp(t^2 + snr E[X^2]) and the score
-    envelope rho_bar(t) = c + 3|t|, c = sqrt(3 snr Var(X)), whose maximum
-    on [-k, k] is c + 3k and whose integrals over [-k, k] are exact
-    polynomials in k; they stand in for the unknown true-score integrals.
-    c_tail is the Lemma 2 bound.
+    envelope rho_bar = lemma_clip_envelope(snr, Var(X)), the one the clipped
+    estimator caps at. rho_bar grows in |t|, so rho_max is rho_bar itself;
+    its integrals over [-k, k] are exact polynomials in k and c = rho_bar(0),
+    and they stand in for the unknown true-score integrals. c_tail is the
+    Lemma 2 bound.
     """
     given = [snr, variance, second_moment] + [v for v in (alpha, f0) if v is not None]
     if not all(math.isfinite(v) for v in given):
         raise ValueError("snr, variance, second_moment, alpha and f0 must be finite")
     if snr < 0 or variance < 0 or second_moment < variance:
         raise ValueError("need snr >= 0 and second_moment >= variance >= 0")
-    c = math.sqrt(3.0 * snr * variance)
+    rho_bar = lemma_clip_envelope(snr, variance)
+    c = float(rho_bar(0.0))
     shift = snr * second_moment
 
     def phi(t):
@@ -188,7 +190,7 @@ def gaussian_tail_model(
 
     return TailModel(
         phi=phi,
-        rho_max=lambda k: c + 3.0 * k,
+        rho_max=rho_bar,
         rho_bar_integrals=rho_bar_integrals,
         score_integrals=rho_bar_integrals,
         c_tail=lambda k: lemma2_tail(k, snr, second_moment, alpha),
@@ -196,24 +198,16 @@ def gaussian_tail_model(
     )
 
 
-def tail_model_for_channel(model: ChannelModel, f0: float | None = None) -> TailModel:
+def tail_model_for_channel(model: ChannelModel) -> TailModel:
     """gaussian_tail_model for the channel's moments; a built-in input also
-    gets its sup f and its true-score integrals (channel_score_integrals)."""
+    gets its true-score integrals (channel_score_integrals)."""
     tail = gaussian_tail_model(
-        model.snr, model.variance, model.second_moment, model.alpha, f0
+        model.snr, model.variance, model.second_moment, model.alpha
     )
     if model.input is InputLaw.CUSTOM:
         return tail
-    if f0 is None:
-        # sup of the output density: both built-ins peak at most at the
-        # pure-noise peak smoothed to variance >= 1.
-        if model.input is InputLaw.GAUSSIAN_STD:
-            f0 = 1.0 / (_SQRT_2PI * math.sqrt(1.0 + model.snr))
-        else:
-            f0 = 1.0 / _SQRT_2PI
-
     return dataclasses.replace(
-        tail, score_integrals=lambda k: channel_score_integrals(model, k), f0=f0
+        tail, score_integrals=lambda k: channel_score_integrals(model, k)
     )
 
 
@@ -441,17 +435,7 @@ class ComplexityResult:
     target_perr: float
 
     def to_dict(self) -> dict:
-        return {
-            "log10_n": self.log10_n,
-            "estimator": self.estimator.value,
-            "k_n": self.k_n,
-            "eps0": self.eps0,
-            "eps1": self.eps1,
-            "a0": self.a0,
-            "a1": self.a1,
-            "target_eps": self.target_eps,
-            "target_perr": self.target_perr,
-        }
+        return {**dataclasses.asdict(self), "estimator": self.estimator.value}
 
 
 #: Search grids: truncation half-widths k_n, and log eps1 per estimator.

@@ -9,7 +9,6 @@ hypothesis is violated or a target is infeasible, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -66,22 +65,14 @@ def _add_channel_flags(parser, required: bool = False):
         help="built-in input law of the noisy channel",
     )
     parser.add_argument("--snr", type=float, help="signal-to-noise ratio")
-    parser.add_argument("--var", type=float, help="input variance override")
 
 
 def _build_channel(args) -> ChannelModel:
     if args.channel is None or args.snr is None:
         raise ValueError("--channel and --snr are required here")
-    model = (
-        gaussian_channel(args.snr)
-        if args.channel == "gaussian"
-        else binary_channel(args.snr)
-    )
-    if getattr(args, "var", None) is not None:
-        model = dataclasses.replace(
-            model, variance=args.var, second_moment=max(args.var, model.second_moment)
-        )
-    return model
+    if args.channel == "gaussian":
+        return gaussian_channel(args.snr)
+    return binary_channel(args.snr)
 
 
 def _load_samples(args) -> tuple[SampleSet, ChannelModel | None]:
@@ -95,23 +86,33 @@ def _load_samples(args) -> tuple[SampleSet, ChannelModel | None]:
     return sample_channel(model, args.n, args.seed), model
 
 
+def _check_envelope_flags(args, kind: EstimatorKind):
+    """--rho-bar is read only by the clipped estimator, and --var only by
+    --rho-bar lemma1 on a sample file: a channel brings its own moments."""
+    clipped = kind is EstimatorKind.CLIPPED
+    if args.rho_bar is not None and not clipped:
+        raise ValueError("--rho-bar applies only to --estimator clipped")
+    if args.var is not None and not (
+        clipped and args.rho_bar == "lemma1" and args.input is not None
+    ):
+        raise ValueError(
+            "--var is read only with --input, --estimator clipped and --rho-bar lemma1"
+        )
+
+
 def _resolve_envelope(args, model: ChannelModel | None):
     spec = args.rho_bar
-    if spec is None:
-        if model is None:
-            raise ValueError(
-                "clipped estimation needs --rho-bar, or a channel to derive "
-                "the score envelope from"
-            )
+    if model is not None and spec in (None, "lemma1"):
         return lemma_clip_envelope(model.snr, model.variance)
-    if spec == "lemma1":
-        snr = args.snr if model is None else model.snr
-        var = args.var if args.var is not None else (
-            model.variance if model is not None else None
+    if spec is None:
+        raise ValueError(
+            "clipped estimation needs --rho-bar, or a channel to derive "
+            "the score envelope from"
         )
-        if snr is None or var is None:
+    if spec == "lemma1":
+        if args.snr is None or args.var is None:
             raise ValueError("--rho-bar lemma1 needs --snr and --var (or a channel)")
-        return lemma_clip_envelope(snr, var)
+        return lemma_clip_envelope(args.snr, args.var)
     if spec.startswith("const:"):
         return constant_clip_envelope(float(spec.split(":", 1)[1]))
     raise ValueError(f"unknown --rho-bar spec {spec!r}; use lemma1 or const:<v>")
@@ -122,13 +123,15 @@ def _resolve_envelope(args, model: ChannelModel | None):
 
 
 def cmd_estimate(args) -> int:
-    samples, model = _load_samples(args)
     kind = EstimatorKind(args.estimator)
+    _check_envelope_flags(args, kind)
+    samples, model = _load_samples(args)
     config = EstimatorConfig(a0=args.a0, a1=args.a1, k_n=args.kn,
                              grid_points=args.grid)
+    rho_bar = None
     if kind is EstimatorKind.CLIPPED:
-        config = config.with_envelope(_resolve_envelope(args, model))
-    result = estimate(samples, config, kind)
+        rho_bar = _resolve_envelope(args, model)
+    result = estimate(samples, config, rho_bar)
     payload = result.to_dict()
     payload["n"] = samples.n
     snr = model.snr if model is not None else args.snr
@@ -241,6 +244,8 @@ def build_parser() -> _Parser:
     p.add_argument("--kn", type=float, required=True, help="truncation half-width")
     p.add_argument("--grid", type=int, default=2001, help="quadrature nodes")
     p.add_argument("--rho-bar", help="score envelope: lemma1 or const:<v>")
+    p.add_argument("--var", type=float,
+                   help="input variance for --rho-bar lemma1 with --input")
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("density", help="evaluate f_n and f_n' on a grid")

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import asdict, dataclass, replace
-from typing import Callable
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,7 +41,6 @@ class EstimatorConfig:
     a1: float
     k_n: float
     grid_points: int = DEFAULT_GRID_POINTS
-    clip_envelope: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         for name in ("a0", "a1", "k_n"):
@@ -50,9 +48,6 @@ class EstimatorConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.grid_points < 3 or self.grid_points % 2 == 0:
             raise ValueError("grid_points must be odd and >= 3")
-
-    def with_envelope(self, rho_bar) -> "EstimatorConfig":
-        return replace(self, clip_envelope=rho_bar)
 
 
 @dataclass(frozen=True)
@@ -77,7 +72,9 @@ def default_truncation(n: int) -> float:
 
 
 def lemma_clip_envelope(snr: float, variance: float):
-    """Score envelope sqrt(3*snr*Var(X)) + 3|t| for Gaussian-noise data.
+    """Lemma 1's score envelope sqrt(3*snr*Var(X)) + 3|t| for Gaussian-noise
+    data: the cap of the clipped estimator, and the envelope that
+    bounds.gaussian_tail_model integrates for Theorem 4.
 
     Valid whenever the data are an arbitrary input with the given variance
     contaminated by standard Gaussian noise at the given snr.
@@ -94,20 +91,23 @@ def constant_clip_envelope(level: float):
     return lambda t: np.full_like(np.asarray(t, dtype=float), level)
 
 
-def _estimate(samples: SampleSet, config: EstimatorConfig, kind: EstimatorKind,
-              rho_bar) -> EstimateResult:
+def estimate(samples: SampleSet, config: EstimatorConfig,
+             rho_bar=None) -> EstimateResult:
     """Integral of min(|rho_n|, |rho_bar|) * |f_n'| over [-k_n, k_n], with
-    rho_n = f_n'/max(f_n, floor); no cap when rho_bar is None."""
+    rho_n = f_n'/max(f_n, floor): the clipped estimate when a score envelope
+    rho_bar is given, the plug-in estimate (no cap) otherwise.
+    mmse_from_fisher turns either into an MMSE estimate."""
     grid = simpson_nodes(-config.k_n, config.k_n, config.grid_points)
     dens, deriv = kde_profile(samples, config.a0, config.a1, grid)
     floored_frac = float(np.mean(dens < DEFAULT_DENSITY_FLOOR))
     slope = np.abs(deriv)
     rho = slope / np.maximum(dens, DEFAULT_DENSITY_FLOOR)
-    clip_frac = 0.0
+    kind, clip_frac = EstimatorKind.BHATTACHARYA, 0.0
     if rho_bar is not None:
+        kind = EstimatorKind.CLIPPED
         cap = np.abs(np.asarray(rho_bar(grid), dtype=float))
         if not np.all(np.isfinite(cap)):
-            raise ValueError("clip_envelope must be finite on [-k_n, k_n]")
+            raise ValueError("rho_bar must be finite on [-k_n, k_n]")
         clip_frac = float(np.mean(rho > cap))
         rho = np.minimum(rho, cap)
     return EstimateResult(
@@ -121,14 +121,12 @@ def _estimate(samples: SampleSet, config: EstimatorConfig, kind: EstimatorKind,
 def bhattacharya(samples: SampleSet, config: EstimatorConfig) -> EstimateResult:
     """Plug-in estimate of the Fisher information over [-k_n, k_n]: the
     clipped integrand with no cap, so (f_n')^2 / f_n."""
-    return _estimate(samples, config, EstimatorKind.BHATTACHARYA, None)
+    return estimate(samples, config)
 
 
-def clipped(samples: SampleSet, config: EstimatorConfig) -> EstimateResult:
+def clipped(samples: SampleSet, config: EstimatorConfig, rho_bar) -> EstimateResult:
     """Score-clipped estimate: integral of min(|rho_n|, |rho_bar|) * |f_n'|."""
-    if config.clip_envelope is None:
-        raise ValueError("clipped estimator requires a clip_envelope")
-    return _estimate(samples, config, EstimatorKind.CLIPPED, config.clip_envelope)
+    return estimate(samples, config, rho_bar)
 
 
 def mmse_from_fisher(fisher: float, snr: float) -> float:
@@ -138,13 +136,3 @@ def mmse_from_fisher(fisher: float, snr: float) -> float:
         raise ValueError("snr must be positive")
     return (1.0 - fisher) / snr
 
-
-def estimate(samples: SampleSet, config: EstimatorConfig,
-             kind: EstimatorKind) -> EstimateResult:
-    """Dispatch to bhattacharya or clipped; mmse_from_fisher turns either
-    into an MMSE estimate."""
-    if kind is EstimatorKind.BHATTACHARYA:
-        return bhattacharya(samples, config)
-    if kind is EstimatorKind.CLIPPED:
-        return clipped(samples, config)
-    raise ValueError(f"unknown estimator kind {kind!r}")

@@ -80,7 +80,7 @@ OVERLAY_HALF_WIDTH, OVERLAY_GRID_POINTS = 8.0, 801
 #: The fields each kind reads besides kind, channel and output_path; any
 #: other field must keep its default.
 _READS = {
-    ExperimentKind.DENSITY_OVERLAY: {"n_list", "estimator_config", "seed"},
+    ExperimentKind.DENSITY_OVERLAY: {"n_list", "seed"},
     ExperimentKind.SNR_SWEEP: {"n_list", "estimator_config", "seed", "snr_grid"},
     ExperimentKind.HISTOGRAM: {"n_list", "estimator_config", "seed", "trials",
                                "estimator", "threads"},
@@ -120,9 +120,6 @@ class ExperimentConfig:
             self.snr_grid and len(self.n_list) == 1
         ):
             raise ValueError("SNR_SWEEP needs a nonempty snr_grid and one sample size")
-        if getattr(self.estimator_config, "clip_envelope", None) is not None:
-            raise ValueError("experiments derive the clip envelope from the "
-                             "channel; estimator_config must not carry one")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -139,7 +136,7 @@ class ExperimentConfig:
         if d.get("estimator_config") is not None:
             ec = dict(d["estimator_config"])
             known = {f.name for f in dataclasses.fields(EstimatorConfig)}
-            bad = set(ec) - (known - {"clip_envelope"})
+            bad = set(ec) - known
             if bad:
                 raise ValueError(f"unknown estimator_config keys: {sorted(bad)}")
             kwargs["estimator_config"] = EstimatorConfig(**ec)
@@ -161,10 +158,6 @@ class ExperimentConfig:
         d["kind"] = self.kind.value
         d["channel"] = self.channel.to_config_dict()
         d["estimator"] = self.estimator.value
-        if self.estimator_config is not None:
-            ec = dataclasses.asdict(self.estimator_config)
-            ec.pop("clip_envelope", None)
-            d["estimator_config"] = ec
         d["n_list"] = list(self.n_list)
         d["snr_grid"] = list(self.snr_grid)
         return d
@@ -244,8 +237,9 @@ def _default_config(config: ExperimentConfig, n: int) -> EstimatorConfig:
     return EstimatorConfig(a0=a, a1=a, k_n=default_truncation(n))
 
 
-def _clip_config(base: EstimatorConfig, channel: ChannelModel) -> EstimatorConfig:
-    return base.with_envelope(lemma_clip_envelope(channel.snr, channel.variance))
+def _lemma_envelope(channel: ChannelModel):
+    """The channel's Lemma 1 score envelope, passed to clipped/estimate."""
+    return lemma_clip_envelope(channel.snr, channel.variance)
 
 
 # ---------------------------------------------------------------------------
@@ -254,9 +248,8 @@ def _clip_config(base: EstimatorConfig, channel: ChannelModel) -> EstimatorConfi
 
 def run_density_overlay(config: ExperimentConfig) -> ExperimentReport:
     """One kernel density/derivative realization per n on a fixed symmetric
-    grid, with the true density and derivative alongside.
-
-    Default bandwidth a = n^(-1/8) unless an estimator config is given.
+    grid, with the true density and derivative alongside, at bandwidth
+    a = n^(-1/8).
     """
     _check_kind(config, ExperimentKind.DENSITY_OVERLAY)
     from .kernels import kde_profile
@@ -273,11 +266,8 @@ def run_density_overlay(config: ExperimentConfig) -> ExperimentReport:
     summary = {"sup_density_error": {}, "sup_deriv_error": {}}
     for i, n in enumerate(config.n_list):
         samples = sample_channel(config.channel, n, trial_seed(config.seed, i))
-        if config.estimator_config is not None:
-            a0, a1 = config.estimator_config.a0, config.estimator_config.a1
-        else:
-            a0 = a1 = float(n) ** (-1.0 / 8.0)
-        dens, deriv = kde_profile(samples, a0, a1, grid)
+        a = float(n) ** (-1.0 / 8.0)
+        dens, deriv = kde_profile(samples, a, a, grid)
         cols += [f"f_n{n}", f"f_deriv_n{n}"]
         data += [dens, deriv]
         if np.all(np.isfinite(data[1])):
@@ -315,7 +305,7 @@ def run_snr_sweep(config: ExperimentConfig) -> ExperimentReport:
         channel = dataclasses.replace(config.channel, snr=float(snr))
         samples = sample_channel(channel, n, trial_seed(config.seed, i))
         fisher_plug = bhattacharya(samples, base).value
-        fisher_clip = clipped(samples, _clip_config(base, channel)).value
+        fisher_clip = clipped(samples, base, _lemma_envelope(channel)).value
         try:
             t_fisher = true_fisher(channel)
             t_mmse = true_mmse(channel)
@@ -375,14 +365,14 @@ def _bin_widths(n: int) -> tuple[float, float]:
 def _run_trials(config: ExperimentConfig, n: int, seed_offset: int) -> np.ndarray:
     """Per-trial estimates for one sample size, in trial order."""
     est_config = _default_config(config, n)
-    if config.estimator is EstimatorKind.CLIPPED:
-        est_config = _clip_config(est_config, config.channel)
+    rho_bar = (_lemma_envelope(config.channel)
+               if config.estimator is EstimatorKind.CLIPPED else None)
 
     def one(trial: int) -> float:
         samples = sample_channel(
             config.channel, n, trial_seed(config.seed, seed_offset + trial)
         )
-        return estimate(samples, est_config, config.estimator).value
+        return estimate(samples, est_config, rho_bar).value
 
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
         # map preserves submission order, so aggregation is deterministic

@@ -133,7 +133,7 @@ def test_criterion_4_clipping_equivalence():
         samples = sample_channel(channel, 10_000, seed=500 + snr)
         plug = bhattacharya(samples, base).value
         clip = clipped(
-            samples, base.with_envelope(lemma_clip_envelope(float(snr), 1.0))
+            samples, base, lemma_clip_envelope(float(snr), 1.0)
         ).value
         worst = max(worst, abs(plug - clip))
     assert worst < 1e-6

@@ -357,6 +357,19 @@ class TestClippedErrorBound:
         want = _simpson_envelope_integrals(lemma_clip_envelope(snr, variance), k)
         assert got == pytest.approx(want, rel=1e-9)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        snr=st.floats(0.0, 1e3),
+        variance=st.floats(0.0, 1e3),
+        k=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5),
+    )
+    def test_rho_max_is_the_estimator_envelope(self, snr, variance, k):
+        # Theorem 4 integrates the envelope the clipped estimator caps at.
+        tail = gaussian_tail_model(snr, variance, variance)
+        rho_bar = lemma_clip_envelope(snr, variance)
+        assert np.array_equal(tail.rho_max(np.array(k)), rho_bar(np.array(k)))
+        assert float(tail.rho_max(k[0])).hex() == float(rho_bar(k[0])).hex()
+
     def test_non_finite_envelope_rejected(self, unit_tail):
         import dataclasses
 

@@ -9,7 +9,9 @@ from fisherinfo import (
     EstimatorConfig,
     SampleSet,
     bhattacharya,
+    clipped,
     gaussian_channel,
+    lemma_clip_envelope,
     mmse_from_fisher,
     sample_channel,
 )
@@ -175,6 +177,89 @@ class TestEstimate:
             "--a0", "0.3", "--a1", "0.3", "--kn", "5",
         )
         assert code == 3
+
+
+class TestEnvelopeFlags:
+    """--rho-bar is read only by the clipped estimator, and --var only by
+    --rho-bar lemma1 on a sample file; anywhere else each is exit 1."""
+
+    BANDS = ("--a0", "0.3", "--a1", "0.3", "--kn", "5", "--grid", "101")
+    CHANNEL = ("--channel", "binary", "--snr", "25", "--n", "200")
+
+    @pytest.fixture
+    def sample_file(self, tmp_path):
+        path = tmp_path / "vals.txt"
+        SampleSet(np.linspace(-1, 1, 50)).to_file(path)
+        return ("--input", str(path))
+
+    def test_lemma1_from_file_reads_var(self, capsys, sample_file):
+        code, out, _ = run_cli(
+            capsys, "estimate", *sample_file, "--estimator", "clipped", *self.BANDS,
+            "--rho-bar", "lemma1", "--snr", "2", "--var", "0.5",
+        )
+        assert code == 0
+        samples = SampleSet.from_file(sample_file[1])
+        config = EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0, grid_points=101)
+        want = clipped(samples, config, lemma_clip_envelope(2.0, 0.5))
+        assert json.loads(out)["value"] == want.value
+
+    @pytest.mark.parametrize("source", ["file", "channel"])
+    @pytest.mark.parametrize("rho_bar", ["lemma1", "const:10"])
+    def test_rho_bar_with_plugin_is_usage_error(
+        self, capsys, sample_file, source, rho_bar
+    ):
+        src = sample_file if source == "file" else self.CHANNEL
+        code, out, err = run_cli(
+            capsys, "estimate", *src, "--estimator", "bhattacharya", *self.BANDS,
+            "--rho-bar", rho_bar,
+        )
+        assert (code, out) == (1, "")
+        assert "--rho-bar applies only to --estimator clipped" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--estimator", "bhattacharya"),
+            ("--estimator", "clipped", "--rho-bar", "const:10"),
+            ("--estimator", "clipped", "--rho-bar", "lemma1"),
+            ("--estimator", "clipped"),
+        ],
+    )
+    def test_var_with_a_channel_is_usage_error(self, capsys, argv):
+        # A built-in law's moments are its own: --var cannot rewrite them.
+        code, out, err = run_cli(
+            capsys, "estimate", *self.CHANNEL, *argv, *self.BANDS, "--var", "0.01"
+        )
+        assert (code, out) == (1, "")
+        assert "--var is read only with --input" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--estimator", "bhattacharya", "--snr", "2"),
+            ("--estimator", "clipped", "--rho-bar", "const:10"),
+        ],
+    )
+    def test_var_unread_on_a_file_is_usage_error(self, capsys, sample_file, argv):
+        code, out, err = run_cli(
+            capsys, "estimate", *sample_file, *argv, *self.BANDS, "--var", "1"
+        )
+        assert (code, out) == (1, "")
+        assert "--var is read only with --input" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("complexity", "--eps", "0.9", "--perr", "0.2", "--estimator",
+             "clipped", "--channel", "binary", "--snr", "25"),
+            ("density", "--channel", "gaussian", "--snr", "1", "--n", "100",
+             "--a", "0.3", "--output", "unused.csv"),
+        ],
+    )
+    def test_var_is_no_flag_of_other_subcommands(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--var", "0.01")
+        assert (code, out) == (1, "")
+        assert "unrecognized arguments: --var" in err
 
 
 class TestDensity:

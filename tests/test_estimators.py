@@ -129,30 +129,27 @@ class TestBhattacharya:
 class TestClipped:
     def test_requires_envelope(self):
         config = EstimatorConfig(a0=0.5, a1=0.5, k_n=5.0)
-        with pytest.raises(ValueError, match="envelope"):
+        with pytest.raises(TypeError, match="rho_bar"):
             clipped(SampleSet([0.0]), config)
 
     def test_huge_constant_envelope_matches_plugin(self):
         s = SampleSet([-0.5, 0.2, 1.0])
         config = EstimatorConfig(a0=0.8, a1=0.8, k_n=6.0)
-        loose = config.with_envelope(constant_clip_envelope(1e12))
-        assert clipped(s, loose).value == pytest.approx(
+        loose = constant_clip_envelope(1e12)
+        assert clipped(s, config, loose).value == pytest.approx(
             bhattacharya(s, config).value, abs=1e-9
         )
 
     def test_zero_envelope_gives_zero(self):
-        config = EstimatorConfig(a0=0.5, a1=0.5, k_n=5.0).with_envelope(
-            constant_clip_envelope(0.0)
-        )
-        result = clipped(SampleSet([0.0, 1.0]), config)
+        config = EstimatorConfig(a0=0.5, a1=0.5, k_n=5.0)
+        result = clipped(SampleSet([0.0, 1.0]), config, constant_clip_envelope(0.0))
         assert result.value == 0.0
         assert result.clip_active_fraction > 0.9
 
     def test_lemma_envelope_matches_plugin_on_channel_data(self):
         s = sample_channel(gaussian_channel(1.0), 10_000, seed=3)
         base = EstimatorConfig(a0=0.3, a1=0.3, k_n=10.0)
-        withenv = base.with_envelope(lemma_clip_envelope(1.0, 1.0))
-        assert clipped(s, withenv).value == pytest.approx(
+        assert clipped(s, base, lemma_clip_envelope(1.0, 1.0)).value == pytest.approx(
             bhattacharya(s, base).value, abs=1e-6
         )
 
@@ -160,8 +157,8 @@ class TestClipped:
         # clipped <= integral of |rho_bar| * |f_n'| on the same grid.
         s = SampleSet([-1.0, 0.0, 2.0])
         env = lemma_clip_envelope(1.0, 1.0)
-        config = EstimatorConfig(a0=0.4, a1=0.4, k_n=6.0).with_envelope(env)
-        value = clipped(s, config).value
+        config = EstimatorConfig(a0=0.4, a1=0.4, k_n=6.0)
+        value = clipped(s, config, env).value
         upper = integrate(
             lambda t: np.abs(env(t)) * np.abs(kde_profile(s, 0.4, 0.4, t)[1]),
             -6.0, 6.0, config.grid_points,
@@ -173,25 +170,22 @@ class TestClipped:
         # estimators integrate identical values.
         s = SampleSet([0.0, 0.5])
         base = EstimatorConfig(a0=1.0, a1=1.0, k_n=3.0)
-        config = base.with_envelope(constant_clip_envelope(100.0))
-        result = clipped(s, config)
+        result = clipped(s, base, constant_clip_envelope(100.0))
         assert result.clip_active_fraction == 0.0
         assert result.value == bhattacharya(s, base).value
 
     def test_non_finite_envelope_rejected(self):
-        config = EstimatorConfig(a0=0.5, a1=0.5, k_n=5.0).with_envelope(
-            lambda t: np.full_like(np.asarray(t, float), np.inf)
-        )
+        config = EstimatorConfig(a0=0.5, a1=0.5, k_n=5.0)
         with pytest.raises(ValueError, match="finite"):
-            clipped(SampleSet([0.0]), config)
+            clipped(SampleSet([0.0]), config,
+                    lambda t: np.full_like(np.asarray(t, float), np.inf))
 
     @settings(max_examples=25, deadline=None)
     @given(finite_samples, st.floats(min_value=0.3, max_value=2))
     def test_nonnegative(self, values, a):
-        config = EstimatorConfig(a0=a, a1=a, k_n=5.0).with_envelope(
-            lemma_clip_envelope(1.0, 1.0)
-        )
-        assert clipped(SampleSet(values), config).value >= 0.0
+        config = EstimatorConfig(a0=a, a1=a, k_n=5.0)
+        env = lemma_clip_envelope(1.0, 1.0)
+        assert clipped(SampleSet(values), config, env).value >= 0.0
 
 
 class TestMmse:
@@ -221,15 +215,15 @@ class TestMmse:
 
 class TestDispatch:
     def test_two_way_dispatch(self):
+        # The kind follows from the envelope: given, clipped; absent, plug-in.
         assert [k.value for k in EstimatorKind] == ["bhattacharya", "clipped"]
         s = sample_channel(gaussian_channel(1.0), 500, seed=9)
-        config = EstimatorConfig(a0=0.3, a1=0.3, k_n=8.0).with_envelope(
-            lemma_clip_envelope(1.0, 1.0)
-        )
-        assert estimate(s, config, EstimatorKind.BHATTACHARYA) == bhattacharya(s, config)
-        assert estimate(s, config, EstimatorKind.CLIPPED) == clipped(s, config)
-        with pytest.raises(ValueError, match="unknown estimator kind"):
-            estimate(s, config, "mmse_bhattacharya")
+        config = EstimatorConfig(a0=0.3, a1=0.3, k_n=8.0)
+        env = lemma_clip_envelope(1.0, 1.0)
+        assert estimate(s, config) == bhattacharya(s, config)
+        assert estimate(s, config, env) == clipped(s, config, env)
+        assert estimate(s, config).estimator is EstimatorKind.BHATTACHARYA
+        assert estimate(s, config, env).estimator is EstimatorKind.CLIPPED
 
     def test_result_serialization(self):
         config = EstimatorConfig(a0=1.0, a1=1.0, k_n=5.0)
@@ -269,9 +263,9 @@ class TestScaling:
         pairs = [
             (bhattacharya(s, base), bhattacharya(SampleSet(c * s.values), scaled)),
             (
-                clipped(s, base.with_envelope(constant_clip_envelope(level))),
-                clipped(SampleSet(c * s.values),
-                        scaled.with_envelope(constant_clip_envelope(level / c))),
+                clipped(s, base, constant_clip_envelope(level)),
+                clipped(SampleSet(c * s.values), scaled,
+                        constant_clip_envelope(level / c)),
             ),
         ]
         for before, after in pairs:

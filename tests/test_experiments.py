@@ -16,7 +16,6 @@ from fisherinfo import (
     EstimatorKind,
     ExperimentConfig,
     ExperimentKind,
-    constant_clip_envelope,
     gaussian_channel,
     sample_channel,
     true_fisher,
@@ -105,6 +104,8 @@ class TestConfig:
             (ExperimentKind.COMPLEXITY, "seed", 7),
             (ExperimentKind.COMPLEXITY, "estimator_config",
              EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0)),
+            (ExperimentKind.DENSITY_OVERLAY, "estimator_config",
+             EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0)),
         ],
     )
     def test_unread_field_rejected(self, kind, field, value):
@@ -125,9 +126,6 @@ class TestConfig:
             _config(kind=ExperimentKind.SNR_SWEEP, snr_grid=(1.0,), n_list=(100, 200))
 
     def test_envelope_in_estimator_config_rejected(self):
-        ec = EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0)
-        with pytest.raises(ValueError, match="envelope"):
-            _config(estimator_config=ec.with_envelope(constant_clip_envelope(1.0)))
         with pytest.raises(ValueError, match="unknown estimator_config keys"):
             ExperimentConfig.from_dict(
                 {"kind": "histogram", "channel": {"input": "gaussian", "snr": 1},
