@@ -52,7 +52,7 @@ class TailModel:
     int rho_bar^2) over [-k, k] for a pointwise score envelope rho_bar, and
     score_integrals(k) the same for the true score, or for rho_bar where
     the score is unknown; c_tail(k) bounds the Fisher-information mass
-    outside [-k, k]; f0 bounds sup f. Each accepts scalar or array k.
+    outside [-k, k]. Each accepts scalar or array k.
     """
 
     phi: Callable[[float], float]
@@ -60,7 +60,6 @@ class TailModel:
     rho_bar_integrals: Callable[[float], tuple[float, float]]
     score_integrals: Callable[[float], tuple[float, float]]
     c_tail: Callable[[float], float]
-    f0: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +154,6 @@ def gaussian_tail_model(
     variance: float,
     second_moment: float,
     alpha: float | None = None,
-    f0: float | None = None,
 ) -> TailModel:
     """TailModel for an arbitrary input in standard Gaussian noise.
 
@@ -166,9 +164,9 @@ def gaussian_tail_model(
     and they stand in for the unknown true-score integrals. c_tail is the
     Lemma 2 bound.
     """
-    given = [snr, variance, second_moment] + [v for v in (alpha, f0) if v is not None]
+    given = [snr, variance, second_moment] + ([] if alpha is None else [alpha])
     if not all(math.isfinite(v) for v in given):
-        raise ValueError("snr, variance, second_moment, alpha and f0 must be finite")
+        raise ValueError("snr, variance, second_moment and alpha must be finite")
     if snr < 0 or variance < 0 or second_moment < variance:
         raise ValueError("need snr >= 0 and second_moment >= variance >= 0")
     rho_bar = lemma_clip_envelope(snr, variance)
@@ -194,7 +192,6 @@ def gaussian_tail_model(
         rho_bar_integrals=rho_bar_integrals,
         score_integrals=rho_bar_integrals,
         c_tail=lambda k: lemma2_tail(k, snr, second_moment, alpha),
-        f0=f0,
     )
 
 
@@ -259,16 +256,6 @@ def bhattacharya_error_bound(eps0, eps1, k_n, tail: TailModel):
     )
 
 
-def log_envelope_psi(eps0: float, k_n: float, tail: TailModel) -> float:
-    """max(log(f0 + eps0), log(phi(k)/(1 - eps0 phi(k)))): bounds |log f_n|."""
-    if tail.f0 is None:
-        raise ValueError("this bound requires a density sup f0 in the tail model")
-    phi_k = float(_check_phi_hypothesis(eps0, k_n, tail))
-    return max(
-        math.log(tail.f0 + eps0), math.log(phi_k / (1.0 - eps0 * phi_k))
-    )
-
-
 def modified_error_bound(
     eps0: float,
     eps1: float,
@@ -279,13 +266,18 @@ def modified_error_bound(
 ) -> float:
     """Theorem 3: log-envelope error bound for the plug-in estimator.
 
-    Replaces the phi factor by the much slower-growing |log f_n| envelope,
-    at the price of the derivative zero counts d_f of f and d_fn of f_n.
+    Replaces the phi factor by the much slower-growing |log f_n| envelope
+    psi, at the price of the derivative zero counts d_f of f and d_fn of f_n.
+    psi = max(log(sup f + eps0), log(phi/(1 - eps0 phi))) needs no sup f:
+    in Gaussian noise sup f <= 1/sqrt(2 pi), and phi >= sqrt(2 pi) with
+    eps0 phi < 1, so the first term is below log(2/sqrt(2 pi)) < 0 and the
+    second at least log(sqrt(2 pi)) > 0.91.
     """
     _check_inputs(eps0, eps1, k_n)
     if d_f < 0 or d_fn < 0:
         raise ValueError("zero counts d_f and d_fn must be nonnegative")
-    psi = log_envelope_psi(eps0, k_n, tail)
+    phi_k = float(_check_phi_hypothesis(eps0, k_n, tail))
+    psi = math.log(phi_k / (1.0 - eps0 * phi_k))
     rho_m = float(tail.rho_max(k_n))
     lead = eps1 * (4.0 + d_f + d_fn) + eps0 * (2.0 + d_fn) * rho_m
     return lead * psi + float(tail.c_tail(k_n))

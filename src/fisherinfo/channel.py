@@ -33,8 +33,9 @@ class InputLaw(enum.Enum):
 class ChannelModel:
     """Input law, SNR, and the input moments the error bounds need.
 
-    alpha is a sub-Gaussian proxy for |X|; both built-in inputs have
-    alpha = 1.
+    alpha is a sub-Gaussian proxy for |X|. A built-in input's moments are
+    its law's, all 1, since its sampler draws that law; only a CUSTOM input
+    sets its own.
     """
 
     input: InputLaw
@@ -49,22 +50,18 @@ class ChannelModel:
             raise ValueError("snr must be nonnegative")
         if self.variance < 0 or self.second_moment < self.variance:
             raise ValueError("need second_moment >= variance >= 0")
-        if self.input is InputLaw.CUSTOM and self.sampler is None:
-            raise ValueError("CUSTOM input requires a sampler")
+        if self.input is InputLaw.CUSTOM:
+            if self.sampler is None:
+                raise ValueError("CUSTOM input requires a sampler")
+        elif (self.alpha, self.variance, self.second_moment) != (1.0, 1.0, 1.0):
+            raise ValueError("only a CUSTOM input sets alpha, variance, second_moment")
 
     def to_config_dict(self) -> dict:
-        return {
-            "input": self.input.value,
-            "snr": self.snr,
-            "alpha": self.alpha,
-            "variance": self.variance,
-            "second_moment": self.second_moment,
-        }
+        return {"input": self.input.value, "snr": self.snr}
 
     @classmethod
     def from_config_dict(cls, d: dict) -> "ChannelModel":
-        known = {"input", "snr", "alpha", "variance", "second_moment"}
-        unknown = set(d) - known
+        unknown = set(d) - {"input", "snr"}
         if unknown:
             raise ValueError(f"unknown channel keys: {sorted(unknown)}")
         if "input" not in d or "snr" not in d:
@@ -72,8 +69,7 @@ class ChannelModel:
         law = InputLaw(d["input"])
         if law is InputLaw.CUSTOM:
             raise ValueError("CUSTOM channels cannot be built from a config file")
-        kwargs = {k: float(d[k]) for k in known & set(d) if k != "input"}
-        return cls(input=law, **kwargs)
+        return cls(input=law, snr=float(d["snr"]))
 
 
 def gaussian_channel(snr: float) -> ChannelModel:

@@ -15,12 +15,7 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .channel import (
-    ChannelModel,
-    binary_channel,
-    gaussian_channel,
-    sample_channel,
-)
+from .channel import ChannelModel, InputLaw, sample_channel
 from .errors import (
     HypothesisViolationError,
     InfeasibleTargetError,
@@ -67,51 +62,66 @@ def _add_channel_flags(parser, required: bool = False):
     parser.add_argument("--snr", type=float, help="signal-to-noise ratio")
 
 
+#: The flags read only in some modes: (subcommands, mode, test, flags read,
+#: flags needed). A flag here must stay unset unless a mode that reads it
+#: holds, and each mode that holds needs its needed flags set.
+_MODES = (
+    ("estimate density", "without --input", lambda a: a.input is None,
+     "--channel --snr --n --seed", "--channel --snr --n"),
+    ("estimate", "with --input", lambda a: a.input is not None, "--snr", ""),
+    ("estimate", "with --estimator clipped", lambda a: a.estimator == "clipped",
+     "--rho-bar", ""),
+    ("estimate", "with --input --estimator clipped",
+     lambda a: a.input is not None and a.estimator == "clipped", "", "--rho-bar"),
+    ("estimate", "with --input --estimator clipped --rho-bar lemma1",
+     lambda a: a.input is not None and a.estimator == "clipped"
+     and a.rho_bar == "lemma1", "--var", "--snr --var"),
+    ("bounds", "with --theorem 2, 3 or 4", lambda a: a.theorem in ("2", "3", "4"),
+     "--kn --eps0 --eps1", "--kn"),
+    ("bounds", "with --theorem 3", lambda a: a.theorem == "3", "--df --dfn", ""),
+    ("bounds", "with --theorem 5", lambda a: a.theorem == "5",
+     "--n --u --w", "--n --u --w"),
+    ("bounds", "with --theorem 6", lambda a: a.theorem == "6",
+     "--n --u --w0 --w1", "--n --u --w0 --w1"),
+)
+
+
+def _check_modes(args):
+    """Apply _MODES: name every flag set where it is not read and every
+    needed flag that is not set."""
+    given = {"--" + k.replace("_", "-") for k, v in vars(args).items() if v is not None}
+    rows = [r for r in _MODES if args.subcommand in r[0].split()]
+    held = [r for r in rows if r[2](args)]
+    read = {f for r in held for f in r[3].split()}
+    problems = []
+    for flag in dict.fromkeys(f for r in rows for f in r[3].split()):
+        if flag in given and flag not in read:
+            modes = " or ".join(r[1] for r in rows if flag in r[3].split())
+            problems.append(f"{flag} is read only {modes}")
+    for _, mode, _, _, needs in held:
+        missing = [f for f in needs.split() if f not in given]
+        if missing:
+            problems.append(f"{args.subcommand} {mode} needs {', '.join(missing)}")
+    if problems:
+        raise ValueError("; ".join(problems))
+
+
 def _build_channel(args) -> ChannelModel:
-    if args.channel is None or args.snr is None:
-        raise ValueError("--channel and --snr are required here")
-    if args.channel == "gaussian":
-        return gaussian_channel(args.snr)
-    return binary_channel(args.snr)
+    return ChannelModel(InputLaw(args.channel), snr=args.snr)
 
 
 def _load_samples(args) -> tuple[SampleSet, ChannelModel | None]:
     if args.input is not None:
         return SampleSet.from_file(args.input), None
-    if args.channel is None:
-        raise ValueError("provide either --input FILE or --channel/--snr/--n/--seed")
-    if args.n is None:
-        raise ValueError("--n is required when sampling from a channel")
     model = _build_channel(args)
-    return sample_channel(model, args.n, args.seed), model
-
-
-def _check_envelope_flags(args, kind: EstimatorKind):
-    """--rho-bar is read only by the clipped estimator, and --var only by
-    --rho-bar lemma1 on a sample file: a channel brings its own moments."""
-    clipped = kind is EstimatorKind.CLIPPED
-    if args.rho_bar is not None and not clipped:
-        raise ValueError("--rho-bar applies only to --estimator clipped")
-    if args.var is not None and not (
-        clipped and args.rho_bar == "lemma1" and args.input is not None
-    ):
-        raise ValueError(
-            "--var is read only with --input, --estimator clipped and --rho-bar lemma1"
-        )
+    return sample_channel(model, args.n, args.seed or 0), model
 
 
 def _resolve_envelope(args, model: ChannelModel | None):
     spec = args.rho_bar
-    if model is not None and spec in (None, "lemma1"):
-        return lemma_clip_envelope(model.snr, model.variance)
-    if spec is None:
-        raise ValueError(
-            "clipped estimation needs --rho-bar, or a channel to derive "
-            "the score envelope from"
-        )
-    if spec == "lemma1":
-        if args.snr is None or args.var is None:
-            raise ValueError("--rho-bar lemma1 needs --snr and --var (or a channel)")
+    if spec in (None, "lemma1"):  # _check_modes: None only with a channel
+        if model is not None:
+            return lemma_clip_envelope(model.snr, model.variance)
         return lemma_clip_envelope(args.snr, args.var)
     if spec.startswith("const:"):
         return constant_clip_envelope(float(spec.split(":", 1)[1]))
@@ -123,13 +133,11 @@ def _resolve_envelope(args, model: ChannelModel | None):
 
 
 def cmd_estimate(args) -> int:
-    kind = EstimatorKind(args.estimator)
-    _check_envelope_flags(args, kind)
     samples, model = _load_samples(args)
     config = EstimatorConfig(a0=args.a0, a1=args.a1, k_n=args.kn,
                              grid_points=args.grid)
     rho_bar = None
-    if kind is EstimatorKind.CLIPPED:
+    if EstimatorKind(args.estimator) is EstimatorKind.CLIPPED:
         rho_bar = _resolve_envelope(args, model)
     result = estimate(samples, config, rho_bar)
     payload = result.to_dict()
@@ -161,21 +169,14 @@ def cmd_density(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    snr, var, ex2 = args.snr, args.var, args.ex2
-    if snr is None or var is None or ex2 is None:
-        raise ValueError("bounds requires --snr, --var, and --ex2")
-    tail = bounds_mod.gaussian_tail_model(snr, var, ex2, args.alpha, args.f0)
+    tail = bounds_mod.gaussian_tail_model(args.snr, args.var, args.ex2, args.alpha)
     payload = {}
     if args.theorem in ("2", "3", "4"):
-        if args.kn is None:
-            raise ValueError("--kn is required for this bound")
         eps0 = args.eps0 if args.eps0 is not None else 0.0
         eps1 = args.eps1 if args.eps1 is not None else 0.0
         k_n = args.kn
     else:
         # Theorems 5 and 6 are Theorems 2 and 4 at the schedule point.
-        if args.n is None:
-            raise ValueError("--n is required for this bound")
         if args.theorem == "5":
             eps0, eps1, k_n = bounds_mod.bhattacharya_schedule(args.n, args.u, args.w)
             p_err = bounds_mod.confidence_bound(args.n, args.w, args.w)
@@ -192,7 +193,7 @@ def cmd_bounds(args) -> int:
         bound = bounds_mod.bhattacharya_error_bound(eps0, eps1, k_n, tail)
     elif args.theorem == "3":
         bound = bounds_mod.modified_error_bound(
-            eps0, eps1, k_n, tail, args.df, args.dfn
+            eps0, eps1, k_n, tail, args.df or 0, args.dfn or 0
         )
     else:
         bound = bounds_mod.clipped_error_bound(eps0, eps1, k_n, tail)
@@ -234,7 +235,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", help="sample file (one value per line)")
     _add_channel_flags(p)
     p.add_argument("--n", type=lambda s: int(float(s)), help="sample count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument(
         "--estimator", required=True,
         choices=[k.value for k in EstimatorKind],
@@ -252,7 +253,7 @@ def build_parser() -> _Parser:
     p.add_argument("--input", help="sample file (one value per line)")
     _add_channel_flags(p)
     p.add_argument("--n", type=lambda s: int(float(s)), help="sample count")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--a", type=float, required=True, help="bandwidth")
     p.add_argument("--grid-range", default="-8:8", help="lo:hi")
     p.add_argument("--grid-points", type=int, default=601)
@@ -270,13 +271,12 @@ def build_parser() -> _Parser:
     p.add_argument("--w", type=float)
     p.add_argument("--w0", type=float)
     p.add_argument("--w1", type=float)
-    p.add_argument("--snr", type=float)
-    p.add_argument("--var", type=float)
-    p.add_argument("--ex2", type=float)
+    p.add_argument("--snr", type=float, required=True)
+    p.add_argument("--var", type=float, required=True)
+    p.add_argument("--ex2", type=float, required=True)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--f0", type=float)
-    p.add_argument("--df", type=int, default=0)
-    p.add_argument("--dfn", type=int, default=0)
+    p.add_argument("--df", type=int)
+    p.add_argument("--dfn", type=int)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("complexity", help="minimal sample size for a target")
@@ -323,6 +323,7 @@ def main(argv=None) -> int:
             return EXIT_USAGE
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        _check_modes(args)
         return args.func(args)
     except (HypothesisViolationError, InfeasibleTargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -48,7 +48,7 @@ _SQRT_2PI = math.sqrt(2 * math.pi)
 @pytest.fixture(scope="module")
 def unit_tail():
     """Tail model for the Gaussian channel at snr = Var = E[X^2] = alpha = 1."""
-    return gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0, f0=1.0 / _SQRT_2PI)
+    return gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
 
 
 def _simpson_envelope_integrals(rho_bar, k_n):
@@ -126,11 +126,10 @@ class TestConstants:
     @pytest.mark.parametrize(
         "args",
         [
-            (math.nan, 1.0, 1.0, None, None),
-            (1.0, math.nan, 1.0, None, None),
-            (1.0, 1.0, math.inf, None, None),
-            (1.0, 1.0, 1.0, math.nan, None),
-            (1.0, 1.0, 1.0, 1.0, math.inf),
+            (math.nan, 1.0, 1.0, None),
+            (1.0, math.nan, 1.0, None),
+            (1.0, 1.0, math.inf, None),
+            (1.0, 1.0, 1.0, math.nan),
         ],
     )
     def test_non_finite_parameters_rejected(self, args):
@@ -312,16 +311,28 @@ class TestLogEnvelopeBound:
     def test_zero_counts_reduction(self, unit_tail):
         # d_f = d_fn = 0 and eps0 = 0 leaves 4 eps1 psi + c(k).
         eps1, k = 1e-3, 3.0
-        f0 = unit_tail.f0
-        psi = max(math.log(f0), math.log(float(unit_tail.phi(k))))
+        psi = math.log(float(unit_tail.phi(k)))
         expected = 4 * eps1 * psi + float(unit_tail.c_tail(k))
         got = modified_error_bound(0.0, eps1, k, unit_tail, 0, 0)
         assert got == pytest.approx(expected, rel=1e-12)
 
-    def test_requires_f0(self):
-        tail = gaussian_tail_model(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError, match="f0"):
-            modified_error_bound(0.0, 1e-3, 3.0, tail, 1, 1)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        snr=st.floats(0.0, 50.0),
+        ex2=st.floats(0.0, 10.0),
+        k=st.floats(1e-6, 25.0),
+        x0=st.floats(0.0, 1.0, exclude_max=True),
+    )
+    def test_phi_term_dominates_any_noise_density_sup(self, snr, ex2, k, x0):
+        # psi = max(log(sup f + eps0), log(phi/(1 - eps0 phi))), and Gaussian
+        # noise caps sup f at 1/sqrt(2 pi): the phi term is always the max,
+        # so Theorem 3 needs no sup f.
+        phi = float(gaussian_tail_model(snr, ex2, ex2).phi(k))
+        eps0 = x0 / phi
+        assume(eps0 * phi < 1.0)
+        assert math.log(phi / (1.0 - eps0 * phi)) > 0.0 > math.log(
+            1.0 / _SQRT_2PI + eps0
+        )
 
     def test_sharper_than_plugin_bound_at_wide_truncation(self, unit_tail):
         # psi grows like log(phi) while the plug-in bound carries phi itself.

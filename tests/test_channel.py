@@ -55,6 +55,25 @@ class TestChannelModel:
             ChannelModel(InputLaw.GAUSSIAN_STD, snr=1.0, variance=2.0,
                          second_moment=1.0)
 
+    @pytest.mark.parametrize("law", [InputLaw.GAUSSIAN_STD, InputLaw.BINARY_PM1])
+    @pytest.mark.parametrize(
+        "moments",
+        [{"variance": 0.01, "second_moment": 0.01}, {"alpha": 2.0},
+         {"second_moment": 4.0}],
+    )
+    def test_builtin_moments_cannot_be_set(self, law, moments):
+        # The sampler draws the law whatever the moments say, while the
+        # bounds read them: a binary input at snr 25 with variance 0.01
+        # would certify a sample size the law does not reach.
+        with pytest.raises(ValueError, match="only a CUSTOM input"):
+            ChannelModel(law, snr=25.0, **moments)
+
+    def test_custom_sets_its_moments(self):
+        model = ChannelModel(InputLaw.CUSTOM, snr=1.0, alpha=1.0, variance=1 / 3,
+                             second_moment=1 / 3,
+                             sampler=lambda gen, n: gen.uniform(-1, 1, n))
+        assert model.variance == 1 / 3
+
     def test_custom_requires_sampler(self):
         with pytest.raises(ValueError):
             ChannelModel(InputLaw.CUSTOM, snr=1.0)
@@ -63,9 +82,21 @@ class TestChannelModel:
         model = binary_channel(3.0)
         assert ChannelModel.from_config_dict(model.to_config_dict()) == model
 
+    def test_config_has_input_and_snr_only(self):
+        assert binary_channel(3.0).to_config_dict() == {"input": "binary", "snr": 3.0}
+
     def test_unknown_config_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             ChannelModel.from_config_dict({"input": "gaussian", "snr": 1, "x": 2})
+
+    @pytest.mark.parametrize(
+        "moments",
+        [{"variance": 0.01, "second_moment": 0.01}, {"alpha": 1.0},
+         {"second_moment": 1.0}],
+    )
+    def test_moment_config_keys_rejected(self, moments):
+        with pytest.raises(ValueError, match="unknown channel keys"):
+            ChannelModel.from_config_dict({"input": "binary", "snr": 25, **moments})
 
     def test_custom_not_configurable(self):
         with pytest.raises(ValueError):

@@ -214,7 +214,7 @@ class TestEnvelopeFlags:
             "--rho-bar", rho_bar,
         )
         assert (code, out) == (1, "")
-        assert "--rho-bar applies only to --estimator clipped" in err
+        assert "--rho-bar is read only with --estimator clipped" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -231,7 +231,8 @@ class TestEnvelopeFlags:
             capsys, "estimate", *self.CHANNEL, *argv, *self.BANDS, "--var", "0.01"
         )
         assert (code, out) == (1, "")
-        assert "--var is read only with --input" in err
+        assert ("--var is read only with --input --estimator clipped "
+                "--rho-bar lemma1") in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -245,7 +246,8 @@ class TestEnvelopeFlags:
             capsys, "estimate", *sample_file, *argv, *self.BANDS, "--var", "1"
         )
         assert (code, out) == (1, "")
-        assert "--var is read only with --input" in err
+        assert ("--var is read only with --input --estimator clipped "
+                "--rho-bar lemma1") in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -260,6 +262,91 @@ class TestEnvelopeFlags:
         code, out, err = run_cli(capsys, *argv, "--var", "0.01")
         assert (code, out) == (1, "")
         assert "unrecognized arguments: --var" in err
+
+
+class TestUnreadFlags:
+    """A flag its mode does not read must stay unset, and a flag its mode
+    needs must be given: either way exit 1, naming the flag."""
+
+    BANDS = ("--estimator", "bhattacharya", "--a0", "0.3", "--a1", "0.3",
+             "--kn", "5", "--grid", "101")
+    THEOREM_2 = ("bounds", "--theorem", "2", "--eps0", "1e-6", "--eps1", "1e-6",
+                 "--kn", "2", "--snr", "1", "--var", "1", "--ex2", "1")
+    THEOREM_5 = ("bounds", "--theorem", "5", "--n", "1e20", "--snr", "1",
+                 "--var", "1", "--ex2", "1")
+
+    @pytest.fixture
+    def sample_file(self, tmp_path):
+        path = tmp_path / "vals.txt"
+        SampleSet(np.linspace(-1, 1, 300)).to_file(path)
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (("--channel", "binary", "--n", "50", "--seed", "9"),
+             ("--channel", "--n", "--seed")),
+            (("--seed", "0"), ("--seed",)),
+            (("--n", "50"), ("--n",)),
+        ],
+    )
+    @pytest.mark.parametrize("subcommand", ["estimate", "density"])
+    def test_file_source_reads_no_channel_flags(
+        self, capsys, sample_file, tmp_path, subcommand, extra, named
+    ):
+        args = self.BANDS if subcommand == "estimate" else (
+            "--a", "0.3", "--output", str(tmp_path / "d.csv"))
+        code, out, err = run_cli(
+            capsys, subcommand, "--input", sample_file, *args, *extra
+        )
+        assert (code, out) == (1, "")
+        for flag in named:
+            assert f"{flag} is read only without --input" in err
+
+    def test_density_from_file_reads_no_snr(self, capsys, sample_file, tmp_path):
+        code, out, err = run_cli(
+            capsys, "density", "--input", sample_file, "--a", "0.3",
+            "--output", str(tmp_path / "d.csv"), "--snr", "1",
+        )
+        assert (code, out) == (1, "")
+        assert "--snr is read only without --input" in err
+        assert not (tmp_path / "d.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (THEOREM_2 + ("--df", "7", "--u", "0.1", "--n", "100"),
+             ("--df", "--u", "--n")),
+            (THEOREM_5 + ("--u", "0.05", "--w", "0.15", "--kn", "2"), ("--kn",)),
+            (("bounds", "--theorem", "4", "--eps0", "1e-3", "--eps1", "1e-3",
+              "--kn", "3", "--snr", "1", "--var", "1", "--ex2", "1", "--df", "1"),
+             ("--df",)),
+            (THEOREM_2 + ("--w0", "0.1"), ("--w0",)),
+        ],
+    )
+    def test_bounds_flag_of_another_theorem(self, capsys, argv, named):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        for flag in named:
+            assert f"{flag} is read only with --theorem" in err
+
+    @pytest.mark.parametrize(
+        "argv, missing",
+        [
+            (THEOREM_5, "bounds with --theorem 5 needs --u, --w"),
+            (("bounds", "--theorem", "6", "--n", "1e6", "--u", "0.05", "--w0",
+              "0.2", "--snr", "4", "--var", "1", "--ex2", "1"),
+             "bounds with --theorem 6 needs --w1"),
+            (("bounds", "--theorem", "3", "--snr", "1", "--var", "1", "--ex2", "1"),
+             "bounds with --theorem 2, 3 or 4 needs --kn"),
+            (("estimate", "--channel", "gaussian", "--snr", "1") + BANDS,
+             "estimate without --input needs --n"),
+        ],
+    )
+    def test_missing_needed_flag_is_usage_error(self, capsys, argv, missing):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert missing in err
 
 
 class TestDensity:
@@ -355,7 +442,7 @@ class TestBounds:
         "theorem, extra, code_want, message",
         [
             ("2", (), 2, "phi(k_n) overflows"),
-            ("3", ("--f0", "0.4"), 2, "phi(k_n) overflows"),
+            ("3", (), 2, "phi(k_n) overflows"),
             ("4", (), 1, "score envelope integrals must be finite"),
         ],
     )
@@ -373,7 +460,7 @@ class TestBounds:
     def test_non_finite_or_non_positive_kn_usage_error(self, capsys, theorem, kn):
         code, out, err = run_cli(
             capsys, "bounds", "--theorem", theorem, "--kn", kn, "--snr", "1",
-            "--var", "1", "--ex2", "1", "--f0", "0.4",
+            "--var", "1", "--ex2", "1",
         )
         assert (code, out) == (1, "")
         assert "k_n must be finite and positive" in err
@@ -419,7 +506,7 @@ class TestBounds:
         code, _, err = run_cli(
             capsys, "bounds", "--theorem", "3", "--eps0", "1e-4", "--eps1",
             "1e-4", "--kn", "2", "--snr", "1", "--var", "1", "--ex2", "1",
-            "--f0", "0.3", "--df", "-3",
+            "--df", "-3",
         )
         assert code == 1
         assert "nonnegative" in err
