@@ -8,7 +8,8 @@ Gaussian-noise data:
   on the density and its derivative over [-k_n, k_n] (Theorems 2-4), all
   reading the sampled density through one TailModel;
 * the Gaussian-channel TailModel (inverse-density envelope phi, score
-  envelope rho_max and its integrals, tail mass c(k_n));
+  envelope rho_max and its integrals, tail mass c(k_n)), read from three
+  moments of the signal S = sqrt(snr) X;
 * the precision/confidence schedules (Theorems 5 and 6): Theorems 2 and 4
   at a = n^-w, k_n = sqrt(u log n) (plug-in) and a_r = n^-w_r, k_n = n^u
   (clipped);
@@ -121,13 +122,13 @@ def _golden_minimum(objective, grid, values, iters):
     return np.where(f < scanned, x, grid[i]), np.minimum(f, scanned)
 
 
-def lemma2_tail(k_n, snr: float, second_moment: float, alpha: float | None = None):
+def lemma2_tail(k_n, s_m2: float, s_alpha2: float | None = None):
     """Upper bound on the Fisher-information mass outside [-k_n, k_n].
 
     Minimizes over the Holder exponent v > 0. Always evaluates the
-    second-moment branch; when a sub-Gaussian proxy alpha is given, also
-    evaluates the Chernoff branch and returns the smaller. The result may
-    exceed 1 and is returned as-is.
+    second-moment branch on s_m2; given s_alpha2, also evaluates the
+    Chernoff branch and returns the smaller (see gaussian_tail_model). The
+    result may exceed 1 and is returned as-is.
 
     Accepts scalar or array k_n.
     """
@@ -135,9 +136,9 @@ def lemma2_tail(k_n, snr: float, second_moment: float, alpha: float | None = Non
     if not np.all(k > 0):
         raise ValueError("k_n must be positive")
     k_sq = k.ravel() ** 2
-    log_base = np.log((snr * second_moment + 1.0) / k_sq)
-    if alpha is not None:
-        sub_g = math.log(2.0) + (alpha**2 * snr - k_sq) / 2.0
+    log_base = np.log((s_m2 + 1.0) / k_sq)
+    if s_alpha2 is not None:
+        sub_g = math.log(2.0) + (s_alpha2 - k_sq) / 2.0
         log_base = np.concatenate([log_base, sub_g])
 
     def objective(v):
@@ -150,32 +151,28 @@ def lemma2_tail(k_n, snr: float, second_moment: float, alpha: float | None = Non
 
 
 def gaussian_tail_model(
-    snr: float,
-    variance: float,
-    second_moment: float,
-    alpha: float | None = None,
+    s_var: float, s_m2: float, s_alpha2: float | None = None
 ) -> TailModel:
-    """TailModel for an arbitrary input in standard Gaussian noise.
+    """TailModel for a signal S in standard Gaussian noise, from s_var =
+    Var S, s_m2 = E[S^2] and s_alpha2, the squared sub-Gaussian proxy of |S|:
+    snr Var X, snr E[X^2] and snr alpha^2 for S = sqrt(snr) X.
 
-    Lemma 1: phi(t) = sqrt(2 pi) exp(t^2 + snr E[X^2]) and the score
-    envelope rho_bar = lemma_clip_envelope(snr, Var(X)), the one the clipped
-    estimator caps at. rho_bar grows in |t|, so rho_max is rho_bar itself;
-    its integrals over [-k, k] are exact polynomials in k and c = rho_bar(0),
-    and they stand in for the unknown true-score integrals. c_tail is the
-    Lemma 2 bound.
+    Lemma 1: phi(t) = sqrt(2 pi) exp(t^2 + s_m2) and the score envelope
+    rho_bar = lemma_clip_envelope(s_var), the one the clipped estimator caps
+    at. rho_bar grows in |t|, so rho_max is rho_bar itself; its integrals
+    over [-k, k] are exact polynomials in k and c = rho_bar(0), and they
+    stand in for the unknown true-score integrals. c_tail is the Lemma 2
+    bound.
     """
-    given = [snr, variance, second_moment] + ([] if alpha is None else [alpha])
-    if not all(math.isfinite(v) for v in given):
-        raise ValueError("snr, variance, second_moment and alpha must be finite")
-    if snr < 0 or variance < 0 or second_moment < variance:
-        raise ValueError("need snr >= 0 and second_moment >= variance >= 0")
-    rho_bar = lemma_clip_envelope(snr, variance)
+    given = [s_var, s_m2] + ([] if s_alpha2 is None else [s_alpha2])
+    if not all(0.0 <= v < math.inf for v in given) or s_m2 < s_var:
+        raise ValueError("need finite s_m2 >= s_var >= 0 and s_alpha2 >= 0")
+    rho_bar = lemma_clip_envelope(s_var)
     c = float(rho_bar(0.0))
-    shift = snr * second_moment
 
     def phi(t):
         # sqrt(2 pi) e^x, with inf past the largest finite value.
-        x = np.square(np.minimum(np.abs(t), _PHI_T_MAX)) + shift
+        x = np.square(np.minimum(np.abs(t), _PHI_T_MAX)) + s_m2
         return np.where(
             x <= _PHI_EXP_MAX, _SQRT_2PI * np.exp(np.minimum(x, _PHI_EXP_MAX)), np.inf
         )
@@ -191,15 +188,16 @@ def gaussian_tail_model(
         rho_max=rho_bar,
         rho_bar_integrals=rho_bar_integrals,
         score_integrals=rho_bar_integrals,
-        c_tail=lambda k: lemma2_tail(k, snr, second_moment, alpha),
+        c_tail=lambda k: lemma2_tail(k, s_m2, s_alpha2),
     )
 
 
 def tail_model_for_channel(model: ChannelModel) -> TailModel:
-    """gaussian_tail_model for the channel's moments; a built-in input also
-    gets its true-score integrals (channel_score_integrals)."""
+    """gaussian_tail_model for the channel's signal moments; a built-in
+    input also gets its true-score integrals (channel_score_integrals)."""
+    snr = model.snr
     tail = gaussian_tail_model(
-        model.snr, model.variance, model.second_moment, model.alpha
+        snr * model.variance, snr * model.second_moment, model.alpha**2 * snr
     )
     if model.input is InputLaw.CUSTOM:
         return tail

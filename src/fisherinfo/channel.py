@@ -19,9 +19,6 @@ from .samples import SampleSet
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-# Gauss-Hermite rule used for the binary-input MMSE integral.
-_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(61)
-
 
 class InputLaw(enum.Enum):
     GAUSSIAN_STD = "gaussian"
@@ -119,12 +116,19 @@ def true_mmse(model: ChannelModel) -> float:
     """Minimum mean squared error of estimating X from Y."""
     _require_builtin(model)
     snr = model.snr
-    if model.input is InputLaw.GAUSSIAN_STD:
+    if model.input is InputLaw.GAUSSIAN_STD or snr == 0:  # Var X = 1 for both
         return 1.0 / (1.0 + snr)
-    # Binary input: the conditional mean is tanh(sqrt(snr)*y), which gives
-    # mmse = 1 - E[tanh(snr - sqrt(snr)*Z)]. Gauss-Hermite in z = y/sqrt(2).
-    g = np.tanh(snr - math.sqrt(snr) * math.sqrt(2.0) * _GH_NODES)
-    return float(1.0 - (_GH_WEIGHTS @ g) / math.sqrt(math.pi))
+    # Binary input: E[tanh(U)] = E[tanh(U)^2] for U = snr + sqrt(snr) Z, so
+    # mmse = 1 - E[tanh(U)] = E[sech(U)^2], with nothing to cancel. Trapezoid
+    # rule in log space, on a step below the width of the integrand's peak.
+    m = math.sqrt(snr)
+    lo, hi = max(-40.0, snr - 40.0 * m), min(40.0, snr + 40.0 * m)
+    n = math.ceil((hi - lo) / min(0.05, m / 4.0))
+    u, h = np.linspace(lo, hi, n + 1, retstep=True)
+    log_f = 2.0 * (math.log(2.0) - np.logaddexp(u, -u)) - (u - snr) ** 2 / (2.0 * snr)
+    top = log_f.max()
+    w = np.exp(log_f - top)
+    return float(math.exp(top) * h * (w.sum() - (w[0] + w[-1]) / 2) / (_SQRT_2PI * m))
 
 
 def true_fisher(model: ChannelModel) -> float:

@@ -121,8 +121,8 @@ def _resolve_envelope(args, model: ChannelModel | None):
     spec = args.rho_bar
     if spec in (None, "lemma1"):  # _check_modes: None only with a channel
         if model is not None:
-            return lemma_clip_envelope(model.snr, model.variance)
-        return lemma_clip_envelope(args.snr, args.var)
+            return lemma_clip_envelope(model.snr * model.variance)
+        return lemma_clip_envelope(args.snr * args.var)
     if spec.startswith("const:"):
         return constant_clip_envelope(float(spec.split(":", 1)[1]))
     raise ValueError(f"unknown --rho-bar spec {spec!r}; use lemma1 or const:<v>")
@@ -150,6 +150,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_density(args) -> int:
+    if args.grid_points < 2:
+        raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
     samples, _ = _load_samples(args)
     try:
         lo_s, hi_s = args.grid_range.split(":")
@@ -169,7 +171,8 @@ def cmd_density(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    tail = bounds_mod.gaussian_tail_model(args.snr, args.var, args.ex2, args.alpha)
+    s_alpha2 = None if args.alpha is None else args.alpha**2
+    tail = bounds_mod.gaussian_tail_model(args.var, args.ex2, s_alpha2)
     payload = {}
     if args.theorem in ("2", "3", "4"):
         eps0 = args.eps0 if args.eps0 is not None else 0.0
@@ -198,7 +201,7 @@ def cmd_bounds(args) -> int:
     else:
         bound = bounds_mod.clipped_error_bound(eps0, eps1, k_n, tail)
     payload["eps_n" if args.theorem in ("5", "6") else "bound"] = bound
-    # phi(k_n) overflows past k_n^2 + snr E[X^2] ~ 709: JSON null.
+    # phi(k_n) overflows past k_n^2 + s_m2 ~ 709: JSON null.
     phi_kn = float(tail.phi(k_n))
     payload["phi_kn"] = phi_kn if np.isfinite(phi_kn) else None
     payload["rho_max_kn"] = float(tail.rho_max(k_n))
@@ -271,10 +274,9 @@ def build_parser() -> _Parser:
     p.add_argument("--w", type=float)
     p.add_argument("--w0", type=float)
     p.add_argument("--w1", type=float)
-    p.add_argument("--snr", type=float, required=True)
-    p.add_argument("--var", type=float, required=True)
-    p.add_argument("--ex2", type=float, required=True)
-    p.add_argument("--alpha", type=float)
+    p.add_argument("--var", type=float, required=True, help="signal variance Var S")
+    p.add_argument("--ex2", type=float, required=True, help="signal moment E[S^2]")
+    p.add_argument("--alpha", type=float, help="sub-Gaussian proxy for |S|")
     p.add_argument("--df", type=int)
     p.add_argument("--dfn", type=int)
     p.set_defaults(func=cmd_bounds)

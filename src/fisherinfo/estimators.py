@@ -71,17 +71,14 @@ def default_truncation(n: int) -> float:
     return math.log(n)
 
 
-def lemma_clip_envelope(snr: float, variance: float):
-    """Lemma 1's score envelope sqrt(3*snr*Var(X)) + 3|t| for Gaussian-noise
-    data: the cap of the clipped estimator, and the envelope that
-    bounds.gaussian_tail_model integrates for Theorem 4.
-
-    Valid whenever the data are an arbitrary input with the given variance
-    contaminated by standard Gaussian noise at the given snr.
+def lemma_clip_envelope(s_var: float):
+    """Lemma 1's score envelope sqrt(3 s_var) + 3|t| for Gaussian-noise data,
+    with s_var = snr Var X the variance of the signal: the clipped estimator's
+    cap, and the envelope bounds.gaussian_tail_model integrates for Theorem 4.
     """
-    if snr < 0 or variance < 0:
-        raise ValueError("snr and variance must be nonnegative")
-    c = math.sqrt(3.0 * snr * variance)
+    if not s_var >= 0:
+        raise ValueError(f"s_var = snr Var X must be nonnegative, got {s_var}")
+    c = math.sqrt(3.0 * s_var)
     return lambda t: c + 3.0 * np.abs(t)
 
 

@@ -237,11 +237,6 @@ def _default_config(config: ExperimentConfig, n: int) -> EstimatorConfig:
     return EstimatorConfig(a0=a, a1=a, k_n=default_truncation(n))
 
 
-def _lemma_envelope(channel: ChannelModel):
-    """The channel's Lemma 1 score envelope, passed to clipped/estimate."""
-    return lemma_clip_envelope(channel.snr, channel.variance)
-
-
 # ---------------------------------------------------------------------------
 # Density overlay
 
@@ -305,7 +300,8 @@ def run_snr_sweep(config: ExperimentConfig) -> ExperimentReport:
         channel = dataclasses.replace(config.channel, snr=float(snr))
         samples = sample_channel(channel, n, trial_seed(config.seed, i))
         fisher_plug = bhattacharya(samples, base).value
-        fisher_clip = clipped(samples, base, _lemma_envelope(channel)).value
+        rho_bar = lemma_clip_envelope(channel.snr * channel.variance)
+        fisher_clip = clipped(samples, base, rho_bar).value
         try:
             t_fisher = true_fisher(channel)
             t_mmse = true_mmse(channel)
@@ -365,7 +361,8 @@ def _bin_widths(n: int) -> tuple[float, float]:
 def _run_trials(config: ExperimentConfig, n: int, seed_offset: int) -> np.ndarray:
     """Per-trial estimates for one sample size, in trial order."""
     est_config = _default_config(config, n)
-    rho_bar = (_lemma_envelope(config.channel)
+    channel = config.channel
+    rho_bar = (lemma_clip_envelope(channel.snr * channel.variance)
                if config.estimator is EstimatorKind.CLIPPED else None)
 
     def one(trial: int) -> float:

@@ -133,7 +133,7 @@ def test_criterion_4_clipping_equivalence():
         samples = sample_channel(channel, 10_000, seed=500 + snr)
         plug = bhattacharya(samples, base).value
         clip = clipped(
-            samples, base, lemma_clip_envelope(float(snr), 1.0)
+            samples, base, lemma_clip_envelope(float(snr))
         ).value
         worst = max(worst, abs(plug - clip))
     assert worst < 1e-6
@@ -205,8 +205,8 @@ def test_criterion_7_oracle_equivalence():
     assert single == pytest.approx(4.0, abs=1e-3)
 
     # Analytic vs quadrature envelope integrals.
-    tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
-    rho_bar = lemma_clip_envelope(1.0, 1.0)
+    tail = gaussian_tail_model(1.0, 1.0, 1.0)
+    rho_bar = lemma_clip_envelope(1.0)
     for k in (1.0, 3.0, 6.0):
         phi1, phi2 = tail.rho_bar_integrals(k)
         assert phi1 == pytest.approx(
@@ -237,7 +237,7 @@ def test_criterion_8_invariant_suite_representatives():
     # The full invariant suite lives in the per-module test files; this
     # re-asserts the asymptotic-rate surrogates on the bound evaluators.
     # Theorem 2 applies to the plug-in schedule from n ~ 2.2e8 on.
-    tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
+    tail = gaussian_tail_model(1.0, 1.0, 1.0)
     n = np.logspace(9, 30, 200)
     plug = bhattacharya_precision(n, 0.05, 0.15, tail)
     clip = clipped_precision(n, 0.02, 0.2, 0.12, tail)

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fisherinfo import (
+    ChannelModel,
     EstimatorConfig,
     EstimatorKind,
+    InputLaw,
     SampleSet,
     bhattacharya,
     binary_channel,
@@ -47,8 +49,9 @@ _SQRT_2PI = math.sqrt(2 * math.pi)
 
 @pytest.fixture(scope="module")
 def unit_tail():
-    """Tail model for the Gaussian channel at snr = Var = E[X^2] = alpha = 1."""
-    return gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
+    """Tail model for the Gaussian channel at snr = Var = E[X^2] = alpha = 1,
+    so s_var = s_m2 = s_alpha2 = 1."""
+    return gaussian_tail_model(1.0, 1.0, 1.0)
 
 
 def _simpson_envelope_integrals(rho_bar, k_n):
@@ -121,15 +124,18 @@ class TestConstants:
 
     def test_moment_validation(self):
         with pytest.raises(ValueError):
-            gaussian_tail_model(1.0, 2.0, 1.0)
+            gaussian_tail_model(2.0, 1.0)
+        # s_alpha2 is a square: a negative one would shrink the Chernoff tail.
+        with pytest.raises(ValueError):
+            gaussian_tail_model(1.0, 1.0, -1.0)
 
     @pytest.mark.parametrize(
         "args",
         [
-            (math.nan, 1.0, 1.0, None),
-            (1.0, math.nan, 1.0, None),
-            (1.0, 1.0, math.inf, None),
-            (1.0, 1.0, 1.0, math.nan),
+            (math.nan, 1.0, None),
+            (1.0, math.nan, None),
+            (1.0, math.inf, None),
+            (1.0, 1.0, math.nan),
         ],
     )
     def test_non_finite_parameters_rejected(self, args):
@@ -139,17 +145,17 @@ class TestConstants:
 
 class TestLemma1Constants:
     def test_zero_variance_zero_truncation(self):
-        env = gaussian_tail_model(1.0, 0.0, 1.0)
+        env = gaussian_tail_model(0.0, 1.0)
         assert env.rho_max(0.0) == 0.0
 
     def test_phi_at_origin_zero_snr(self):
-        env = gaussian_tail_model(0.0, 0.0, 0.0)
+        env = gaussian_tail_model(0.0, 0.0)
         assert float(env.phi(0.0)) == pytest.approx(_SQRT_2PI, abs=1e-4)
 
     def test_phi_overflows_to_inf_without_warning(self):
-        # Past k^2 + snr E[X^2] ~ 709 sqrt(2 pi) e^x is not a finite double;
+        # Past k^2 + s_m2 ~ 709 sqrt(2 pi) e^x is not a finite double;
         # phi reports inf (pytest turns any RuntimeWarning into an error).
-        env = gaussian_tail_model(1.0, 1.0, 1.0)
+        env = gaussian_tail_model(1.0, 1.0)
         phi = env.phi(np.array([2.0, 26.0, 27.0, 1e3]))
         assert phi[0] == _SQRT_2PI * math.exp(5.0)
         assert np.isfinite(phi[1]) and np.all(np.isinf(phi[2:]))
@@ -160,7 +166,7 @@ class TestLemma1Constants:
 
     def test_invalid_moments(self):
         with pytest.raises(ValueError):
-            gaussian_tail_model(1.0, 2.0, 1.0)
+            gaussian_tail_model(2.0, 1.0)
 
 
 class TestTruncationTail:
@@ -171,7 +177,7 @@ class TestTruncationTail:
             2 * math.sqrt(math.gamma(1.5)) / math.pi**0.25
             * math.sqrt(snr * ex2 + 1) / k
         )
-        assert lemma2_tail(k, snr, ex2) <= fixed_v1 + 1e-12
+        assert lemma2_tail(k, snr * ex2) <= fixed_v1 + 1e-12
 
     def test_sub_gaussian_branch_also_dominates(self):
         snr, ex2, alpha, k = 1.0, 1.0, 1.0, 3.0
@@ -179,7 +185,7 @@ class TestTruncationTail:
             2 * math.sqrt(math.gamma(1.5)) / math.pi**0.25
             * math.sqrt(2 * math.exp((alpha**2 * snr - k**2) / 2))
         )
-        out = lemma2_tail(k, snr, ex2, alpha)
+        out = lemma2_tail(k, snr * ex2, alpha**2 * snr)
         assert out <= fixed_v1_sub + 1e-12
 
     def test_matches_dense_brute_force(self):
@@ -198,34 +204,35 @@ class TestTruncationTail:
             branch(math.log((snr * ex2 + 1) / k**2)),
             branch(math.log(2.0) + (alpha**2 * snr - k**2) / 2),
         )
-        assert lemma2_tail(k, snr, ex2, alpha) == pytest.approx(brute, rel=1e-4)
+        got = lemma2_tail(k, snr * ex2, alpha**2 * snr)
+        assert got == pytest.approx(brute, rel=1e-4)
 
     def test_vanishes_monotonically_for_large_k(self):
-        values = [lemma2_tail(k, 1.0, 1.0, 1.0) for k in (4, 6, 8, 12, 16)]
+        values = [lemma2_tail(k, 1.0, 1.0) for k in (4, 6, 8, 12, 16)]
         assert all(b < a for a, b in zip(values, values[1:]))
         assert values[-1] < 1e-20
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            lemma2_tail(0.0, 1.0, 1.0)
+            lemma2_tail(0.0, 1.0)
 
     @pytest.mark.parametrize("alpha", [None, 1.0])
     def test_array_matches_scalar_oracle(self, alpha):
         k = np.linspace(0.5, 16.0, 63)
-        got = lemma2_tail(k, 1.0, 1.0, alpha)
+        got = lemma2_tail(k, 1.0, None if alpha is None else alpha**2)
         want = [_scalar_lemma2_tail(float(x), 1.0, 1.0, alpha) for x in k]
         assert got.shape == k.shape
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
     def test_scalar_in_float_out(self):
-        assert type(lemma2_tail(3.0, 1.0, 1.0)) is float
-        assert type(lemma2_tail(np.float64(3.0), 1.0, 1.0, 1.0)) is float
-        assert lemma2_tail(np.full((2, 3), 3.0), 1.0, 1.0).shape == (2, 3)
+        assert type(lemma2_tail(3.0, 1.0)) is float
+        assert type(lemma2_tail(np.float64(3.0), 1.0, 1.0)) is float
+        assert lemma2_tail(np.full((2, 3), 3.0), 1.0).shape == (2, 3)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
     def test_invalid_k_in_array(self, bad):
         with pytest.raises(ValueError, match="positive"):
-            lemma2_tail(np.array([1.0, bad, 3.0]), 1.0, 1.0)
+            lemma2_tail(np.array([1.0, bad, 3.0]), 1.0)
 
     @pytest.mark.parametrize("snr", [1.0, 5.0])
     @pytest.mark.parametrize("factory", [gaussian_channel, binary_channel])
@@ -240,7 +247,77 @@ class TestTruncationTail:
         k = 3.0
         contrib = np.where(np.abs(y) >= k, true_score(model, y) ** 2, 0.0)
         mc, se = contrib.mean(), contrib.std() / 1000.0
-        assert lemma2_tail(k, snr, model.second_moment, model.alpha) >= mc - 3 * se
+        bound = lemma2_tail(k, snr * model.second_moment, model.alpha**2 * snr)
+        assert bound >= mc - 3 * se
+
+
+def _custom_channel(snr, alpha, variance, second_moment):
+    return ChannelModel(
+        InputLaw.CUSTOM, snr=snr, alpha=alpha, variance=variance,
+        second_moment=second_moment, sampler=lambda gen, n: gen.standard_normal(n),
+    )
+
+
+def _certified(estimator, model):
+    """sample_complexity at (0.5, 0.2) as a dict, or its best precision
+    where the target is infeasible."""
+    try:
+        return sample_complexity(0.5, 0.2, estimator, model).to_dict()
+    except InfeasibleTargetError as exc:
+        return {"best_precision": exc.best_precision}
+
+
+_CUSTOM_MOMENTS = {
+    "snr": st.floats(0.0, 50.0, allow_subnormal=False),
+    "alpha": st.floats(0.1, 3.0),
+    "variance": st.floats(0.0, 4.0, allow_subnormal=False),
+    "excess": st.floats(0.0, 4.0, allow_subnormal=False),
+}
+
+
+class TestSignalMoments:
+    """The bounds read the input only through s_var = snr Var X,
+    s_m2 = snr E[X^2] and s_alpha2 = snr alpha^2."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(**_CUSTOM_MOMENTS)
+    def test_channel_tail_is_the_signal_moment_tail(
+        self, snr, alpha, variance, excess
+    ):
+        model = _custom_channel(snr, alpha, variance, variance + excess)
+        got = tail_model_for_channel(model)
+        want = gaussian_tail_model(
+            snr * model.variance, snr * model.second_moment, alpha**2 * snr
+        )
+        k = np.array([0.3, 1.0, 2.5, 4.0, 8.0, 30.0])
+        for name in ("phi", "rho_max", "c_tail"):
+            assert np.array_equal(getattr(got, name)(k), getattr(want, name)(k)), name
+        assert np.array_equal(got.rho_bar_integrals(k), want.rho_bar_integrals(k))
+        # The array form, on the products, against the X-scale oracle.
+        assert got.c_tail(2.5) == pytest.approx(
+            _scalar_lemma2_tail(2.5, snr, model.second_moment, alpha),
+            rel=1e-14, abs=0.0,
+        )
+
+    @settings(max_examples=12, deadline=None)
+    @given(**_CUSTOM_MOMENTS, j=st.integers(-3, 3))
+    def test_equal_products_certify_equal_sample_sizes(
+        self, snr, alpha, variance, excess, j
+    ):
+        # Scaling snr by 4^j and the input by 2^-j is exact in floating
+        # point away from subnormals, so the products stay bit-equal.
+        base = _custom_channel(snr, alpha, variance, variance + excess)
+        scaled = _custom_channel(
+            snr * 4.0**j, alpha / 2.0**j, variance / 4.0**j,
+            base.second_moment / 4.0**j,
+        )
+
+        def products(m):
+            return m.snr * m.variance, m.snr * m.second_moment, m.alpha**2 * m.snr
+
+        assume(products(base) == products(scaled))
+        for estimator in EstimatorKind:
+            assert _certified(estimator, base) == _certified(estimator, scaled)
 
 
 class TestPluginErrorBound:
@@ -261,7 +338,7 @@ class TestPluginErrorBound:
         rho_max = math.sqrt(3.0) + 3 * k
         expected = (
             4 * eps1 * k * rho_max + 2 * eps1**2 * k * phi_k + eps0 * phi_k * 1.0
-        ) / (1 - eps0 * phi_k) + lemma2_tail(k, 1.0, 1.0, 1.0)
+        ) / (1 - eps0 * phi_k) + lemma2_tail(k, 1.0, 1.0)
         assert bhattacharya_error_bound(eps0, eps1, k, unit_tail) == pytest.approx(
             expected, rel=1e-12
         )
@@ -278,7 +355,7 @@ class TestPluginErrorBound:
         st.floats(min_value=0, max_value=5e-4),
     )
     def test_monotone_in_errors(self, e0, e1, d0, d1):
-        tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
+        tail = gaussian_tail_model(1.0, 1.0, 1.0)
         base = bhattacharya_error_bound(e0, e1, 2.0, tail)
         assert bhattacharya_error_bound(e0 + d0, e1 + d1, 2.0, tail) >= base
 
@@ -288,7 +365,7 @@ class TestPluginErrorBound:
         # channel), measure eps0/eps1 on a fine grid, and check the
         # deterministic bound covers the actual estimation error.
         a, k = 0.99, 1.5
-        tail = gaussian_tail_model(1e-12, 0.0, 0.0, alpha=1.0)
+        tail = gaussian_tail_model(0.0, 0.0, 1e-12)
         grid = np.linspace(-k, k, 20_001)
         f = np.exp(-0.5 * grid**2) / _SQRT_2PI
         fp = -grid * f
@@ -327,7 +404,7 @@ class TestLogEnvelopeBound:
         # psi = max(log(sup f + eps0), log(phi/(1 - eps0 phi))), and Gaussian
         # noise caps sup f at 1/sqrt(2 pi): the phi term is always the max,
         # so Theorem 3 needs no sup f.
-        phi = float(gaussian_tail_model(snr, ex2, ex2).phi(k))
+        phi = float(gaussian_tail_model(snr * ex2, snr * ex2).phi(k))
         eps0 = x0 / phi
         assume(eps0 * phi < 1.0)
         assert math.log(phi / (1.0 - eps0 * phi)) > 0.0 > math.log(
@@ -349,7 +426,7 @@ class TestClippedErrorBound:
         )
 
     def test_envelope_integrals_match_closed_forms(self, unit_tail):
-        rho_bar = lemma_clip_envelope(1.0, 1.0)
+        rho_bar = lemma_clip_envelope(1.0)
         for k in (1.0, 2.5, 5.0):
             phi1, phi2 = unit_tail.rho_bar_integrals(k)
             want1, want2 = _simpson_envelope_integrals(rho_bar, k)
@@ -363,9 +440,9 @@ class TestClippedErrorBound:
         k=st.floats(0.1, 12.0),
     )
     def test_envelope_integrals_match_simpson(self, snr, variance, k):
-        tail = gaussian_tail_model(snr, variance, variance)
+        tail = gaussian_tail_model(snr * variance, snr * variance)
         got = tail.rho_bar_integrals(k)
-        want = _simpson_envelope_integrals(lemma_clip_envelope(snr, variance), k)
+        want = _simpson_envelope_integrals(lemma_clip_envelope(snr * variance), k)
         assert got == pytest.approx(want, rel=1e-9)
 
     @settings(max_examples=100, deadline=None)
@@ -376,8 +453,8 @@ class TestClippedErrorBound:
     )
     def test_rho_max_is_the_estimator_envelope(self, snr, variance, k):
         # Theorem 4 integrates the envelope the clipped estimator caps at.
-        tail = gaussian_tail_model(snr, variance, variance)
-        rho_bar = lemma_clip_envelope(snr, variance)
+        tail = gaussian_tail_model(snr * variance, snr * variance)
+        rho_bar = lemma_clip_envelope(snr * variance)
         assert np.array_equal(tail.rho_max(np.array(k)), rho_bar(np.array(k)))
         assert float(tail.rho_max(k[0])).hex() == float(rho_bar(k[0])).hex()
 
@@ -397,7 +474,7 @@ class TestClippedErrorBound:
         st.floats(min_value=0, max_value=0.05),
     )
     def test_monotone_in_eps1(self, e0, e1, d1):
-        tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
+        tail = gaussian_tail_model(1.0, 1.0, 1.0)
         assert clipped_error_bound(e0, e1 + d1, 3.0, tail) >= clipped_error_bound(
             e0, e1, 3.0, tail
         )
@@ -411,7 +488,7 @@ class TestClippedErrorBound:
     def test_two_sided_form_dominated_by_summed_form(self, e0, e1, k):
         # The max form on the true-score integrals of a built-in channel
         # never exceeds the summed form on the envelope integrals.
-        tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
+        tail = gaussian_tail_model(1.0, 1.0, 1.0)
         sharp = clipped_error_bound(
             e0, e1, k, tail_model_for_channel(gaussian_channel(1.0))
         )
@@ -430,7 +507,8 @@ class TestClippedErrorBound:
     def test_envelope_only_tail_gives_summed_form(self, snr, variance, alpha, e0, e1, k):
         # With the envelope integrals standing in for the score integrals the
         # max form is the summed form, bit for bit.
-        tail = gaussian_tail_model(snr, variance, variance, alpha)
+        s_alpha2 = None if alpha is None else alpha**2 * snr
+        tail = gaussian_tail_model(snr * variance, snr * variance, s_alpha2)
         want = _clipped_summed(e0, e1, *tail.rho_bar_integrals(k), tail.c_tail(k))
         assert clipped_error_bound(e0, e1, k, tail) == want
 
@@ -444,7 +522,7 @@ class TestClippedErrorBound:
     def test_binary_channel_score_integrals_never_loosen(self, snr, e0, e1, k):
         model = binary_channel(snr)
         envelope = gaussian_tail_model(
-            snr, model.variance, model.second_moment, model.alpha
+            snr * model.variance, snr * model.second_moment, model.alpha**2 * snr
         )
         sharp = clipped_error_bound(e0, e1, k, tail_model_for_channel(model))
         assert sharp <= clipped_error_bound(e0, e1, k, envelope)
@@ -547,12 +625,12 @@ class TestPrecisionSchedules:
         at_300 = bhattacharya_precision(1e300, 0.05, 0.15, unit_tail)
         assert at_300 < at_20
         k = math.sqrt(0.05 * math.log(1e300))
-        assert at_300 == pytest.approx(lemma2_tail(k, 1.0, 1.0, 1.0), rel=1e-12)
+        assert at_300 == pytest.approx(lemma2_tail(k, 1.0, 1.0), rel=1e-12)
 
     def test_plugin_sub_gaussian_variant(self, unit_tail):
         # A sub-Gaussian proxy adds Lemma 2's Chernoff branch to c(k_n); it
         # wins once k_n is large.
-        plain = gaussian_tail_model(1.0, 1.0, 1.0)
+        plain = gaussian_tail_model(1.0, 1.0)
         for n in (1e20, 1e100, 1e300):
             sub = bhattacharya_precision(n, 0.05, 0.15, unit_tail)
             assert sub <= bhattacharya_precision(n, 0.05, 0.15, plain)
@@ -624,10 +702,10 @@ class TestSchedulesAreErrorBounds:
         log10_n=st.lists(st.floats(9.0, 300.0), min_size=1, max_size=5),
         w=st.floats(0.06, 0.16),
         u_frac=st.floats(0.01, 0.5),
-        alpha=st.sampled_from([None, 1.0]),
+        s_alpha2=st.sampled_from([None, 1.0]),
     )
-    def test_plugin_schedule_is_theorem_2(self, log10_n, w, u_frac, alpha):
-        tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha)
+    def test_plugin_schedule_is_theorem_2(self, log10_n, w, u_frac, s_alpha2):
+        tail = gaussian_tail_model(1.0, 1.0, s_alpha2)
         u = u_frac * w
         n = 10.0 ** np.array(log10_n)
         eps0, eps1, k = bhattacharya_schedule(n, u, w)
@@ -650,10 +728,10 @@ class TestSchedulesAreErrorBounds:
         w0=st.floats(0.05, 0.24),
         w1=st.floats(0.05, 0.16),
         u_frac=st.floats(0.01, 0.99),
-        alpha=st.sampled_from([None, 1.0]),
+        s_alpha2=st.sampled_from([None, 1.0]),
     )
-    def test_clipped_schedule_is_theorem_4(self, log10_n, w0, w1, u_frac, alpha):
-        tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha)
+    def test_clipped_schedule_is_theorem_4(self, log10_n, w0, w1, u_frac, s_alpha2):
+        tail = gaussian_tail_model(1.0, 1.0, s_alpha2)
         u = u_frac * min(w0 / 3.0, w1 / 2.0)
         n = 10.0 ** np.array(log10_n)
         got = clipped_precision(n, u, w0, w1, tail)
@@ -668,7 +746,7 @@ class TestSchedulesAreErrorBounds:
     @settings(max_examples=60, deadline=None)
     @given(log10_n=st.floats(0.5, 20.0), w=st.floats(0.02, 0.16), u_frac=st.floats(0.01, 0.99))
     def test_plugin_raises_exactly_outside_the_hypothesis(self, log10_n, w, u_frac):
-        tail = gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
+        tail = gaussian_tail_model(1.0, 1.0, 1.0)
         u = u_frac * w
         eps0, _, k = bhattacharya_schedule(10.0**log10_n, u, w)
         if eps0 * float(tail.phi(k)) >= 1.0:
@@ -692,10 +770,10 @@ class TestSchedulesAreErrorBounds:
     def test_corrected_schedule_values(self):
         # The closed forms these replace printed 1.42558 and 25.333.
         assert bhattacharya_precision(
-            1e20, 0.05, 0.15, gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0)
+            1e20, 0.05, 0.15, gaussian_tail_model(1.0, 1.0, 1.0)
         ) == pytest.approx(1.39596, abs=1e-5)
         assert clipped_precision(
-            1e6, 0.05, 0.2, 0.15, gaussian_tail_model(4.0, 1.0, 1.0)
+            1e6, 0.05, 0.2, 0.15, gaussian_tail_model(4.0, 4.0)
         ) == pytest.approx(36.947, abs=1e-3)
 
 

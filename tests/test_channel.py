@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from fisherinfo import (
     ChannelModel,
@@ -25,6 +26,8 @@ from fisherinfo import (
 from fisherinfo.bounds import gaussian_tail_model
 from fisherinfo.errors import UnsupportedOracleError
 
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
+
 
 def _custom(snr=1.0):
     return ChannelModel(
@@ -41,6 +44,24 @@ def binary_mmse_monte_carlo(snr: float, n: int, seed: int):
     cond_mean = np.tanh(math.sqrt(snr) * y)
     sq = (x - cond_mean) ** 2
     return float(sq.mean()), float(sq.std() / math.sqrt(n))
+
+
+def binary_mmse_quad(snr: float) -> float:
+    """E[sech(U)^2], U ~ N(snr, snr), by adaptive quadrature of the
+    integrand's exponential in log space: an oracle for the binary MMSE at
+    any snr, whose value falls like e^(-snr/2)."""
+    m = math.sqrt(snr)
+
+    def integrand(u):
+        a = abs(u)
+        log_sech2 = 2.0 * (math.log(2.0) - a - math.log1p(math.exp(-2.0 * a)))
+        log_normal = -((u - snr) ** 2) / (2.0 * snr) - math.log(m * _SQRT_2PI)
+        return math.exp(log_sech2 + log_normal)
+
+    lo, hi = snr - 40.0 * m, snr + 40.0 * m
+    peaks = sorted(p for p in (0.0, snr) if lo < p < hi)
+    value, _ = quad(integrand, lo, hi, points=peaks, epsabs=0.0, epsrel=1e-13, limit=500)
+    return value
 
 
 class TestChannelModel:
@@ -184,6 +205,32 @@ class TestTruths:
             for snr in (0.01, 0.5, 1, 3, 10, 50):
                 assert 0.0 < true_fisher(factory(snr)) <= 1.0
 
+    @pytest.mark.parametrize(
+        "snr", [0.01, 0.1, 1.0, 3.0, 5.0, 10.0, 20.0, 30.0, 100.0, 300.0, 1000.0]
+    )
+    def test_binary_mmse_against_quadrature(self, snr):
+        # At snr >= 100 the MMSE is below 1e-22, and 1 - E[tanh] would
+        # cancel to a negative value; E[sech^2] stays positive.
+        model = binary_channel(snr)
+        assert true_mmse(model) == pytest.approx(binary_mmse_quad(snr), rel=1e-10)
+        assert true_mmse(model) > 0.0
+        assert true_fisher(model) <= 1.0
+
+    @pytest.mark.parametrize("snr", [1.0, 3.0])
+    def test_binary_sech2_form_is_one_minus_tanh(self, snr):
+        # E[tanh(U)] = E[tanh(U)^2], so 1 - E[tanh(U)] = E[sech(U)^2]; where
+        # 1 - tanh does not cancel, the two integrals agree.
+        m = math.sqrt(snr)
+        one_minus_tanh, _ = quad(
+            lambda z: (1.0 - math.tanh(snr + m * z)) * math.exp(-z * z / 2.0),
+            -40.0, 40.0, points=[-m], epsabs=0.0, epsrel=1e-13, limit=500,
+        )
+        one_minus_tanh /= _SQRT_2PI
+        assert binary_mmse_quad(snr) == pytest.approx(one_minus_tanh, rel=1e-11)
+
+    def test_binary_mmse_at_zero_snr(self):
+        assert true_mmse(binary_channel(0.0)) == 1.0
+
     @pytest.mark.parametrize("snr", [1.0, 5.0])
     def test_binary_mmse_against_monte_carlo(self, snr):
         mc, se = binary_mmse_monte_carlo(snr, 2_000_000, seed=123)
@@ -221,7 +268,9 @@ class TestDensities:
         grid = np.linspace(-6, 6, 241)
         for factory in (gaussian_channel, binary_channel):
             model = factory(snr)
-            phi = gaussian_tail_model(snr, model.variance, model.second_moment).phi
+            phi = gaussian_tail_model(
+                snr * model.variance, snr * model.second_moment
+            ).phi
             assert np.all(1.0 / true_density(model, grid) <= phi(grid) + 1e-9)
 
     @pytest.mark.parametrize("factory", [gaussian_channel, binary_channel])

@@ -1,6 +1,9 @@
 """Tests for the command-line front end (run in-process)."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,7 +203,7 @@ class TestEnvelopeFlags:
         assert code == 0
         samples = SampleSet.from_file(sample_file[1])
         config = EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0, grid_points=101)
-        want = clipped(samples, config, lemma_clip_envelope(2.0, 0.5))
+        want = clipped(samples, config, lemma_clip_envelope(2.0 * 0.5))
         assert json.loads(out)["value"] == want.value
 
     @pytest.mark.parametrize("source", ["file", "channel"])
@@ -271,9 +274,8 @@ class TestUnreadFlags:
     BANDS = ("--estimator", "bhattacharya", "--a0", "0.3", "--a1", "0.3",
              "--kn", "5", "--grid", "101")
     THEOREM_2 = ("bounds", "--theorem", "2", "--eps0", "1e-6", "--eps1", "1e-6",
-                 "--kn", "2", "--snr", "1", "--var", "1", "--ex2", "1")
-    THEOREM_5 = ("bounds", "--theorem", "5", "--n", "1e20", "--snr", "1",
-                 "--var", "1", "--ex2", "1")
+                 "--kn", "2", "--var", "1", "--ex2", "1")
+    THEOREM_5 = ("bounds", "--theorem", "5", "--n", "1e20", "--var", "1", "--ex2", "1")
 
     @pytest.fixture
     def sample_file(self, tmp_path):
@@ -319,7 +321,7 @@ class TestUnreadFlags:
              ("--df", "--u", "--n")),
             (THEOREM_5 + ("--u", "0.05", "--w", "0.15", "--kn", "2"), ("--kn",)),
             (("bounds", "--theorem", "4", "--eps0", "1e-3", "--eps1", "1e-3",
-              "--kn", "3", "--snr", "1", "--var", "1", "--ex2", "1", "--df", "1"),
+              "--kn", "3", "--var", "1", "--ex2", "1", "--df", "1"),
              ("--df",)),
             (THEOREM_2 + ("--w0", "0.1"), ("--w0",)),
         ],
@@ -335,9 +337,9 @@ class TestUnreadFlags:
         [
             (THEOREM_5, "bounds with --theorem 5 needs --u, --w"),
             (("bounds", "--theorem", "6", "--n", "1e6", "--u", "0.05", "--w0",
-              "0.2", "--snr", "4", "--var", "1", "--ex2", "1"),
+              "0.2", "--var", "4", "--ex2", "4"),
              "bounds with --theorem 6 needs --w1"),
-            (("bounds", "--theorem", "3", "--snr", "1", "--var", "1", "--ex2", "1"),
+            (("bounds", "--theorem", "3", "--var", "1", "--ex2", "1"),
              "bounds with --theorem 2, 3 or 4 needs --kn"),
             (("estimate", "--channel", "gaussian", "--snr", "1") + BANDS,
              "estimate without --input needs --n"),
@@ -372,13 +374,41 @@ class TestDensity:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_fewer_than_two_grid_points_usage_error(self, capsys, tmp_path, points):
+        out_path = tmp_path / "d.csv"
+        code, out, err = run_cli(
+            capsys, "density", "--channel", "gaussian", "--snr", "1",
+            "--n", "100", "--a", "0.3", "--grid-points", points,
+            "--output", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert "--grid-points" in err
+        assert not out_path.exists()
+
+
+def _readme_bounds_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = re.findall(r"^fisherinfo (bounds .*)$", readme.replace("\\\n", " "), re.M)
+    return [shlex.split(line) for line in lines]
+
 
 class TestBounds:
+    def test_readme_examples_with_snr_fail(self, capsys):
+        # The bounds read the signal's moments; a command line written for
+        # the X-scale flags, which all carried --snr, must not run.
+        examples = _readme_bounds_examples()
+        assert len(examples) == 5
+        for argv in examples:
+            assert run_cli(capsys, *argv)[0] == 0
+            code, out, err = run_cli(capsys, *argv, "--snr", "1")
+            assert (code, out) == (1, ""), argv
+            assert "--snr" in err
+
     def test_schedule_bound_prints_constants(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--theorem", "5", "--n", "1e20", "--u", "0.05",
-            "--w", "0.15", "--snr", "1", "--var", "1", "--ex2", "1",
-            "--alpha", "1",
+            "--w", "0.15", "--var", "1", "--ex2", "1", "--alpha", "1",
         )
         assert code == 0
         payload = json.loads(out)
@@ -390,7 +420,7 @@ class TestBounds:
         assert payload["eps0"] == payload["eps1"] == pytest.approx(1e-3)
         assert payload["eps_n"] == bhattacharya_error_bound(
             payload["eps0"], payload["eps1"], payload["k_n"],
-            gaussian_tail_model(1.0, 1.0, 1.0, alpha=1.0),
+            gaussian_tail_model(1.0, 1.0, 1.0),
         )
         assert payload["eps_n"] == pytest.approx(1.39596, abs=1e-5)
         assert 0 <= payload["p_err"] <= 1
@@ -398,28 +428,28 @@ class TestBounds:
     def test_clipped_schedule_is_theorem_4(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--theorem", "6", "--n", "1e6", "--u", "0.05",
-            "--w0", "0.2", "--w1", "0.15", "--snr", "4", "--var", "1", "--ex2", "1",
+            "--w0", "0.2", "--w1", "0.15", "--var", "4", "--ex2", "4",
         )
         assert code == 0
         payload = json.loads(out)
         assert payload["eps_n"] == pytest.approx(36.947, abs=1e-3)
         assert payload["eps_n"] == clipped_error_bound(
             payload["eps0"], payload["eps1"], payload["k_n"],
-            gaussian_tail_model(4.0, 1.0, 1.0),
+            gaussian_tail_model(4.0, 4.0),
         )
 
     def test_schedule_below_theorem_2_hypothesis_exit_two(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", "--theorem", "5", "--n", "1e6", "--u", "0.05",
-            "--w", "0.15", "--snr", "1", "--var", "1", "--ex2", "1",
+            "--w", "0.15", "--var", "1", "--ex2", "1",
         )
         assert code == 2
         assert "phi" in err
 
     def test_phi_overflow_exit_two(self, capsys):
         code, _, err = run_cli(
-            capsys, "bounds", "--theorem", "2", "--kn", "27", "--snr", "1",
-            "--var", "1", "--ex2", "1",
+            capsys, "bounds", "--theorem", "2", "--kn", "27", "--var", "1",
+            "--ex2", "1",
         )
         assert code == 2
         assert "phi(k_n) overflows" in err
@@ -430,7 +460,7 @@ class TestBounds:
 
         code, out, _ = run_cli(
             capsys, "bounds", "--theorem", "4", "--eps0", "1e-3", "--eps1",
-            "1e-3", "--kn", "27", "--snr", "1", "--var", "1", "--ex2", "1",
+            "1e-3", "--kn", "27", "--var", "1", "--ex2", "1",
             "--alpha", "1",
         )
         assert code == 0
@@ -449,7 +479,7 @@ class TestBounds:
     def test_huge_kn(self, capsys, theorem, extra, code_want, message):
         code, out, err = run_cli(
             capsys, "bounds", "--theorem", theorem, "--eps0", "1e-6", "--eps1",
-            "1e-6", "--kn", "1e200", "--snr", "1", "--var", "1", "--ex2", "1",
+            "1e-6", "--kn", "1e200", "--var", "1", "--ex2", "1",
             *extra,
         )
         assert (code, out) == (code_want, "")
@@ -459,15 +489,15 @@ class TestBounds:
     @pytest.mark.parametrize("kn", ["nan", "inf", "0", "-2"])
     def test_non_finite_or_non_positive_kn_usage_error(self, capsys, theorem, kn):
         code, out, err = run_cli(
-            capsys, "bounds", "--theorem", theorem, "--kn", kn, "--snr", "1",
-            "--var", "1", "--ex2", "1",
+            capsys, "bounds", "--theorem", theorem, "--kn", kn, "--var", "1",
+            "--ex2", "1",
         )
         assert (code, out) == (1, "")
         assert "k_n must be finite and positive" in err
 
     @pytest.mark.parametrize("flag", ["--var", "--alpha"])
     def test_non_finite_parameter_usage_error(self, capsys, flag):
-        argv = {"--snr": "1", "--var": "1", "--ex2": "1", flag: "nan"}
+        argv = {"--var": "1", "--ex2": "1", flag: "nan"}
         code, out, err = run_cli(
             capsys, "bounds", "--theorem", "2", "--eps0", "1e-6", "--eps1",
             "1e-6", "--kn", "2", *[x for kv in argv.items() for x in kv],
@@ -479,7 +509,7 @@ class TestBounds:
     def test_pure_noise_is_valid(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--theorem", "2", "--eps0", "1e-6", "--eps1",
-            "1e-6", "--kn", "2", "--snr", "0", "--var", "1", "--ex2", "1",
+            "1e-6", "--kn", "2", "--var", "0", "--ex2", "0",
         )
         assert code == 0
         assert json.loads(out)["rho_max_kn"] == 6.0
@@ -487,8 +517,8 @@ class TestBounds:
     def test_error_bound_reports_envelopes(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--theorem", "2", "--eps0", "1e-6",
-            "--eps1", "1e-6", "--kn", "2", "--snr", "1", "--var", "1",
-            "--ex2", "1", "--alpha", "1",
+            "--eps1", "1e-6", "--kn", "2", "--var", "1", "--ex2", "1",
+            "--alpha", "1",
         )
         assert code == 0
         payload = json.loads(out)
@@ -497,7 +527,7 @@ class TestBounds:
     def test_hypothesis_violation_exit_two(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", "--theorem", "2", "--eps0", "1", "--eps1", "0",
-            "--kn", "2", "--snr", "1", "--var", "1", "--ex2", "1",
+            "--kn", "2", "--var", "1", "--ex2", "1",
         )
         assert code == 2
         assert "phi" in err
@@ -505,8 +535,7 @@ class TestBounds:
     def test_negative_zero_count_usage_error(self, capsys):
         code, _, err = run_cli(
             capsys, "bounds", "--theorem", "3", "--eps0", "1e-4", "--eps1",
-            "1e-4", "--kn", "2", "--snr", "1", "--var", "1", "--ex2", "1",
-            "--df", "-3",
+            "1e-4", "--kn", "2", "--var", "1", "--ex2", "1", "--df", "-3",
         )
         assert code == 1
         assert "nonnegative" in err
@@ -524,7 +553,7 @@ class TestBounds:
     )
     def test_vacuous_confidence_flagged(self, capsys, argv, vacuous):
         code, out, _ = run_cli(
-            capsys, "bounds", *argv, "--snr", "1", "--var", "1", "--ex2", "1"
+            capsys, "bounds", *argv, "--var", "1", "--ex2", "1"
         )
         assert code == 0
         payload = json.loads(out)

@@ -149,14 +149,14 @@ class TestClipped:
     def test_lemma_envelope_matches_plugin_on_channel_data(self):
         s = sample_channel(gaussian_channel(1.0), 10_000, seed=3)
         base = EstimatorConfig(a0=0.3, a1=0.3, k_n=10.0)
-        assert clipped(s, base, lemma_clip_envelope(1.0, 1.0)).value == pytest.approx(
+        assert clipped(s, base, lemma_clip_envelope(1.0)).value == pytest.approx(
             bhattacharya(s, base).value, abs=1e-6
         )
 
     def test_clip_dominance(self):
         # clipped <= integral of |rho_bar| * |f_n'| on the same grid.
         s = SampleSet([-1.0, 0.0, 2.0])
-        env = lemma_clip_envelope(1.0, 1.0)
+        env = lemma_clip_envelope(1.0)
         config = EstimatorConfig(a0=0.4, a1=0.4, k_n=6.0)
         value = clipped(s, config, env).value
         upper = integrate(
@@ -184,7 +184,7 @@ class TestClipped:
     @given(finite_samples, st.floats(min_value=0.3, max_value=2))
     def test_nonnegative(self, values, a):
         config = EstimatorConfig(a0=a, a1=a, k_n=5.0)
-        env = lemma_clip_envelope(1.0, 1.0)
+        env = lemma_clip_envelope(1.0)
         assert clipped(SampleSet(values), config, env).value >= 0.0
 
 
@@ -219,7 +219,7 @@ class TestDispatch:
         assert [k.value for k in EstimatorKind] == ["bhattacharya", "clipped"]
         s = sample_channel(gaussian_channel(1.0), 500, seed=9)
         config = EstimatorConfig(a0=0.3, a1=0.3, k_n=8.0)
-        env = lemma_clip_envelope(1.0, 1.0)
+        env = lemma_clip_envelope(1.0)
         assert estimate(s, config) == bhattacharya(s, config)
         assert estimate(s, config, env) == clipped(s, config, env)
         assert estimate(s, config).estimator is EstimatorKind.BHATTACHARYA
