@@ -30,7 +30,7 @@ import numpy as np
 from .channel import ChannelModel, InputLaw, true_score
 from .errors import HypothesisViolationError, InfeasibleTargetError
 from .estimators import EstimatorKind, lemma_clip_envelope
-from .kernels import deviation_rate, rate_optimal_bandwidth
+from .kernels import LOG10_N_MAX, certified_log10_n, sup_deviation_tail
 from .quadrature import integrate
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -79,7 +79,6 @@ def _as_output(x):
 
 def _gamma(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.gamma, x.tolist()), float, x.size)
-
 
 
 def _lemma2_objective(v, gamma_v_half, log_base):
@@ -395,17 +394,14 @@ def clipped_precision(n, u: float, w0: float, w1: float, tail: TailModel):
 
 def confidence_bound(n, w0: float, w1: float):
     """Failure probability of the schedule a_r = eps_r = n^-w_r: the sum of
-    the two sup-deviation tails 2 exp(-n deviation_rate(r, a_r, a_r)), which
-    is 2 exp(-c1 n^(1-4w0)) + 2 exp(-c2 n^(1-6w1)), with w0 < 1/4 and
-    w1 < 1/6. The plug-in schedule has w0 = w1 = w."""
+    the two sup-deviation tails at (n, a_r, a_r), with exponents
+    c1 n^(1-4w0) and c2 n^(1-6w1) for w0 < 1/4 and w1 < 1/6. The plug-in
+    schedule has w0 = w1 = w."""
     _check_open("w0", w0, 0.0, 1.0 / 4.0)
     _check_open("w1", w1, 0.0, 1.0 / 6.0)
     n = np.asarray(n, dtype=float)
     a0, a1 = n ** -w0, n ** -w1
-    return _as_output(
-        2.0 * np.exp(-n * deviation_rate(0, a0, a0))
-        + 2.0 * np.exp(-n * deviation_rate(1, a1, a1))
-    )
+    return sup_deviation_tail(0, n, a0, a0) + sup_deviation_tail(1, n, a1, a1)
 
 
 # ---------------------------------------------------------------------------
@@ -434,64 +430,13 @@ _LOG_E1_GRID = {
     EstimatorKind.BHATTACHARYA: np.log(np.geomspace(1e-7, 1.0, 72)),
     EstimatorKind.CLIPPED: np.log(np.geomspace(1e-9, 0.5, 72)),
 }
-#: Zoom passes over k around the incumbent, points per pass, golden-section
-#: iterations over log eps1 at each k, and Newton and then ulp steps of the
-#: n solve.
-_ZOOM_PASSES, _ZOOM_POINTS, _GOLDEN_ITERS, _NEWTON_STEPS, _ULP_STEPS = 3, 9, 12, 4, 8
-_LOG10_N_MAX = 40.0
+#: Zoom passes over k around the incumbent, points per pass, and
+#: golden-section iterations over log eps1 at each k.
+_ZOOM_PASSES, _ZOOM_POINTS, _GOLDEN_ITERS = 3, 9, 12
 #: Relative margin of eps0 inside the precision boundary: far above the
 #: rounding of the closed form, so the bound checked at eps0 meets the
 #: target as the public evaluators compute it.
 _EPS0_MARGIN = 1e-12
-
-
-def _concentration_rates(e0, e1):
-    """Rate-optimal bandwidths and per-sample rates A_r of the two sup-norm
-    tail bounds for the budgets (e0, e1)."""
-    a0, a1 = rate_optimal_bandwidth(0, e0), rate_optimal_bandwidth(1, e1)
-    return a0, a1, deviation_rate(0, a0, e0), deviation_rate(1, a1, e1)
-
-
-def _solve_log10_n(rate0, rate1, target_perr):
-    """Smallest log10 n in [1, _LOG10_N_MAX] with 2 e^(-A0 n) + 2 e^(-A1 n)
-    <= target_perr, per entry; inf where there is none.
-
-    With m = min(A0, A1) and g = |A0 - A1|, h(n) = ln(2/p) - m n +
-    ln(1 + e^(-g n)) is the log of the confidence over p: convex and
-    decreasing, with its root in [ln(2/p)/m, ln(4/p)/m]. Newton steps from
-    the lower end climb to the root without passing it; since h' <= -m, a
-    last step h/m lands at or past it. Where rounding leaves the confidence
-    as computed above p, log10 n moves up an ulp at a time, at most
-    _ULP_STEPS times; any entry still above is inf.
-    """
-    m, g = np.minimum(rate0, rate1), np.abs(rate0 - rate1)
-    log_2_p = math.log(2.0 / target_perr)
-    out = np.full(m.shape, np.inf)
-    live = m * 10.0**_LOG10_N_MAX >= log_2_p
-    m, g, rate0, rate1 = m[live], g[live], rate0[live], rate1[live]
-
-    def h_and_slope(n):
-        t = np.exp(-g * n)
-        return log_2_p - m * n + np.log1p(t), m + g * t / (1.0 + t)
-
-    n = log_2_p / m
-    for _ in range(_NEWTON_STEPS):
-        h, slope = h_and_slope(n)
-        n = n + h / slope
-    l10 = np.maximum(np.log10(n + np.maximum(h_and_slope(n)[0], 0.0) / m), 1.0)
-
-    def short(l10):
-        n = 10.0**l10
-        return 2.0 * np.exp(-rate0 * n) + 2.0 * np.exp(-rate1 * n) > target_perr
-
-    above = short(l10)
-    for _ in range(_ULP_STEPS):
-        if not above.any():
-            break
-        l10 = np.where(above, np.nextafter(l10, np.inf), l10)
-        above = short(l10)
-    out[live] = np.where(above | (l10 > _LOG10_N_MAX), np.inf, l10)
-    return out
 
 
 def _precision(estimator, consts, e0, e1):
@@ -525,9 +470,7 @@ def _certify(estimator, consts, e1, target_eps, target_perr):
     e0 = e0 * (1.0 - _EPS0_MARGIN)
     e1 = np.broadcast_to(e1, e0.shape)
     ok = (e0 > 0) & (_precision(estimator, consts, e0, e1) <= target_eps)
-    a0, a1, r0, r1 = _concentration_rates(e0, e1)
-    log10_n = np.full(e0.shape, np.inf)
-    log10_n[ok] = _solve_log10_n(r0[ok], r1[ok], target_perr)
+    log10_n, a0, a1 = certified_log10_n(np.where(ok, e0, np.nan), e1, target_perr)
     return log10_n, e0, a0, a1
 
 
@@ -595,7 +538,7 @@ def sample_complexity(
             prec = _precision(estimator, consts, 0.0, e1_min)
             raise InfeasibleTargetError(
                 f"no parameters reach precision {target_eps} with confidence "
-                f"{target_perr} within n <= 1e{_LOG10_N_MAX:g}",
+                f"{target_perr} within n <= 1e{LOG10_N_MAX:g}",
                 best_precision=float(np.fmin.reduce(prec)),
             )
         if best is None or log10_n[i] < best[0]:

@@ -30,9 +30,9 @@ class InputLaw(enum.Enum):
 class ChannelModel:
     """Input law, SNR, and the input moments the error bounds need.
 
-    alpha is a sub-Gaussian proxy for |X|. A built-in input's moments are
-    its law's, all 1, since its sampler draws that law; only a CUSTOM input
-    sets its own.
+    alpha is a sub-Gaussian proxy for |X|. A built-in input's sampler and
+    moments are its law's, the moments all 1; only a CUSTOM input sets its
+    own.
     """
 
     input: InputLaw
@@ -50,8 +50,10 @@ class ChannelModel:
         if self.input is InputLaw.CUSTOM:
             if self.sampler is None:
                 raise ValueError("CUSTOM input requires a sampler")
-        elif (self.alpha, self.variance, self.second_moment) != (1.0, 1.0, 1.0):
-            raise ValueError("only a CUSTOM input sets alpha, variance, second_moment")
+        elif (self.sampler, self.alpha, self.variance, self.second_moment) != (
+            None, 1.0, 1.0, 1.0
+        ):
+            raise ValueError("only a CUSTOM input sets its sampler or moments")
 
     def to_config_dict(self) -> dict:
         return {"input": self.input.value, "snr": self.snr}

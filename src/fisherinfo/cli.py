@@ -152,14 +152,13 @@ def cmd_estimate(args) -> int:
 def cmd_density(args) -> int:
     if args.grid_points < 2:
         raise ValueError(f"--grid-points must be at least 2, got {args.grid_points}")
-    samples, _ = _load_samples(args)
     try:
-        lo_s, hi_s = args.grid_range.split(":")
-        lo, hi = float(lo_s), float(hi_s)
+        lo, hi = (float(v) for v in args.grid_range.split(":"))
     except ValueError:
-        raise ValueError(
-            f"--grid-range must be lo:hi, got {args.grid_range!r}"
-        ) from None
+        lo = hi = np.nan
+    if not -np.inf < lo < hi < np.inf:
+        raise ValueError(f"--grid-range needs finite lo < hi, got {args.grid_range!r}")
+    samples, _ = _load_samples(args)
     grid = np.linspace(lo, hi, args.grid_points)
     dens, deriv = kde_profile(samples, args.a, args.a, grid)
     with open(args.output, "w") as fh:

@@ -1,4 +1,4 @@
-"""Gaussian-kernel density and density-derivative estimation.
+"""Gaussian-kernel density and derivative estimates and their concentration law.
 
 Conventions for the Gaussian kernel K(t) = exp(-t^2/2)/sqrt(2*pi):
 
@@ -39,6 +39,8 @@ _BIAS_SLOPE = (
     1.0 / math.sqrt(2.0 * math.pi * math.e),
     (2.0 / math.e + 1.0) / math.sqrt(2.0 * math.pi),
 )
+#: Largest log10 n the n solve certifies, then its Newton and ulp steps.
+LOG10_N_MAX, _NEWTON_STEPS, _ULP_STEPS = 40.0, 4, 8
 
 
 def _check_order(r: int) -> int:
@@ -47,9 +49,8 @@ def _check_order(r: int) -> int:
     return r
 
 
-def _check_bandwidth(a: float) -> float:
-    a = float(a)
-    if not (a > 0) or not math.isfinite(a):
+def _check_bandwidth(a):
+    if not np.all((0 < a) & (a < math.inf)):
         raise ValueError(f"bandwidth must be positive and finite, got {a}")
     return a
 
@@ -75,8 +76,7 @@ def _kernel_sums(values: np.ndarray, a: float, t: np.ndarray, want_deriv: bool):
 
 def kde_profile(samples: SampleSet, a0: float, a1: float, grid: np.ndarray):
     """(f_n, f_n') on a 1-D grid, sharing exponentials when a0 == a1."""
-    a0 = _check_bandwidth(a0)
-    a1 = _check_bandwidth(a1)
+    a0, a1 = _check_bandwidth(float(a0)), _check_bandwidth(float(a1))
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1:
         # The kernel sums pair each grid row with every sample.
@@ -109,19 +109,74 @@ def rate_optimal_bandwidth(r: int, eps):
     return (r + 1) * eps / ((r + 2) * _BIAS_SLOPE[r])
 
 
-def sup_deviation_tail(r: int, n: int, a: float, eps: float) -> float:
-    """Tail bound 2 exp(-n deviation_rate(r, a, eps)) on
-    P[sup_t |f_n^{(r)}(t) - f^{(r)}(t)| > eps].
+def _tail(n, rate):
+    """The sup-deviation tail 2 e^(-n rate) at per-sample rate, unchecked."""
+    return 2.0 * np.exp(-n * rate)
 
-    Requires eps to exceed the deterministic bias delta = a * delta_r.
-    """
+
+def sup_deviation_tail(r: int, n, a, eps):
+    """Tail bound 2 exp(-n deviation_rate(r, a, eps)) on P[sup_t |f_n^(r) -
+    f^(r)| > eps], for n >= 1, a positive and finite, and eps > a delta_r.
+    Scalars or arrays that broadcast together; a float for scalar input.
+    Each entry equals its scalar call bit for bit: the inputs are made
+    contiguous and at least 1-D, so numpy runs every entry in the same loops."""
     r = _check_order(r)
-    if n < 1:
+    shape = np.broadcast_shapes(np.shape(n), np.shape(a), np.shape(eps))
+    n, a, eps = (np.ascontiguousarray(v, dtype=float) for v in (n, a, eps))
+    if not np.all(n >= 1):
         raise ValueError("n must be >= 1")
-    a = _check_bandwidth(a)
-    delta = a * _BIAS_SLOPE[r]
-    if not eps > delta:
-        raise HypothesisViolationError(
-            f"need eps > delta_(r={r},a={a}) = {delta}; got eps = {eps}"
-        )
-    return 2.0 * math.exp(-n * deviation_rate(r, a, eps))
+    delta = _check_bandwidth(a) * _BIAS_SLOPE[r]
+    if not np.all(eps > delta):
+        raise HypothesisViolationError(f"need eps > a delta_{r} = {delta}, got {eps}")
+    out = _tail(n, deviation_rate(r, a, eps)).reshape(shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _solve_log10_n(rate0, rate1, target_perr):
+    """Per entry, the smallest log10 n in [1, LOG10_N_MAX] with _tail(n, A0) +
+    _tail(n, A1) <= target_perr; inf where there is none or a rate is NaN.
+
+    With m = min(A0, A1) and g = |A0 - A1|, h(n) = ln(2/p) - m n +
+    ln(1 + e^(-g n)) is the log of the confidence over p: convex and
+    decreasing, with its root in [ln(2/p)/m, ln(4/p)/m]. Newton steps from
+    the lower end climb to the root without passing it; since h' <= -m, a
+    last step h/m lands at or past it. Where the tails round above p, log10 n
+    moves up an ulp at a time, at most _ULP_STEPS times, or else is inf.
+    """
+    m, g = np.minimum(rate0, rate1), np.abs(rate0 - rate1)
+    log_2_p = math.log(2.0 / target_perr)
+    out = np.full(m.shape, np.inf)
+    live = m * 10.0**LOG10_N_MAX >= log_2_p
+    m, g, rate0, rate1 = m[live], g[live], rate0[live], rate1[live]
+
+    def h_and_slope(n):
+        t = np.exp(-g * n)
+        return log_2_p - m * n + np.log1p(t), m + g * t / (1.0 + t)
+
+    n = log_2_p / m
+    for _ in range(_NEWTON_STEPS):
+        h, slope = h_and_slope(n)
+        n = n + h / slope
+    l10 = np.maximum(np.log10(n + np.maximum(h_and_slope(n)[0], 0.0) / m), 1.0)
+
+    def short(l10):
+        n = 10.0**l10
+        return _tail(n, rate0) + _tail(n, rate1) > target_perr
+
+    above = short(l10)
+    for _ in range(_ULP_STEPS):
+        if not above.any():
+            break
+        l10 = np.where(above, np.nextafter(l10, np.inf), l10)
+        above = short(l10)
+    out[live] = np.where(above | (l10 > LOG10_N_MAX), np.inf, l10)
+    return out
+
+
+def certified_log10_n(eps0, eps1, target_perr):
+    """(log10 n, a0, a1) for budget arrays eps0, eps1: the rate-optimal a_r and
+    the smallest log10 n whose tails sup_deviation_tail(r, n, a_r, eps_r) sum
+    to at most target_perr, by _solve_log10_n (inf where a budget is NaN)."""
+    a0, a1 = rate_optimal_bandwidth(0, eps0), rate_optimal_bandwidth(1, eps1)
+    rates = deviation_rate(0, a0, eps0), deviation_rate(1, a1, eps1)
+    return _solve_log10_n(*rates, target_perr), a0, a1

@@ -89,6 +89,12 @@ class TestChannelModel:
         with pytest.raises(ValueError, match="only a CUSTOM input"):
             ChannelModel(law, snr=25.0, **moments)
 
+    @pytest.mark.parametrize("law", [InputLaw.GAUSSIAN_STD, InputLaw.BINARY_PM1])
+    def test_builtin_sampler_cannot_be_set(self, law):
+        # sample_channel draws a built-in law whatever sampler is given.
+        with pytest.raises(ValueError, match="only a CUSTOM input"):
+            ChannelModel(law, snr=1.0, sampler=lambda gen, n: np.zeros(n))
+
     def test_custom_sets_its_moments(self):
         model = ChannelModel(InputLaw.CUSTOM, snr=1.0, alpha=1.0, variance=1 / 3,
                              second_moment=1 / 3,

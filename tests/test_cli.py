@@ -374,6 +374,20 @@ class TestDensity:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("grid_range", ["nan:1", "inf:2", "5:-5", "1:1"])
+    def test_grid_range_not_finite_and_increasing_usage_error(
+        self, capsys, tmp_path, grid_range
+    ):
+        out_path = tmp_path / "d.csv"
+        code, out, err = run_cli(
+            capsys, "density", "--channel", "gaussian", "--snr", "1",
+            "--n", "100", "--a", "0.3", "--grid-range", grid_range,
+            "--grid-points", "5", "--output", str(out_path),
+        )
+        assert (code, out) == (1, "")
+        assert "--grid-range" in err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_fewer_than_two_grid_points_usage_error(self, capsys, tmp_path, points):
         out_path = tmp_path / "d.csv"

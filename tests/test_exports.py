@@ -9,10 +9,10 @@ import fisherinfo
 ROOT = Path(__file__).resolve().parents[1]
 INIT = Path(fisherinfo.__file__).resolve()
 
-# Theorems 5 and 6 and the kernel sup-deviation tail lemma: results of the
-# paper that the acceptance checks pin (criteria 8 and 6), kept as library
-# entry points although no program code calls them.
-ALLOWLIST = {"bhattacharya_precision", "clipped_precision", "sup_deviation_tail"}
+# Theorems 5 and 6: results of the paper that the acceptance checks pin
+# (criterion 8), kept as library entry points although no program code
+# calls them.
+ALLOWLIST = {"bhattacharya_precision", "clipped_precision"}
 
 
 def reexported_names() -> list[str]:
