@@ -23,6 +23,7 @@ from .errors import (
     UnsupportedOracleError,
 )
 from .estimators import (
+    DEFAULT_GRID_POINTS,
     EstimatorConfig,
     EstimatorKind,
     constant_clip_envelope,
@@ -30,7 +31,7 @@ from .estimators import (
     lemma_clip_envelope,
     mmse_from_fisher,
 )
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import DataSeries, ExperimentConfig, run_experiment
 from .kernels import kde_profile
 from .samples import SampleSet
 
@@ -161,10 +162,8 @@ def cmd_density(args) -> int:
     samples, _ = _load_samples(args)
     grid = np.linspace(lo, hi, args.grid_points)
     dens, deriv = kde_profile(samples, args.a, args.a, grid)
-    with open(args.output, "w") as fh:
-        fh.write("# t,f_n,f_n_deriv\n")
-        for t, f, fp in zip(grid, dens, deriv):
-            fh.write(f"{float(t)!r},{float(f)!r},{float(fp)!r}\n")
+    table = np.column_stack([grid, dens, deriv])
+    DataSeries(("t", "f_n", "f_n_deriv"), table).write(args.output)
     print(f"wrote {args.grid_points} rows to {args.output}")
     return EXIT_OK
 
@@ -245,7 +244,8 @@ def build_parser() -> _Parser:
     p.add_argument("--a0", type=float, required=True, help="density bandwidth")
     p.add_argument("--a1", type=float, required=True, help="derivative bandwidth")
     p.add_argument("--kn", type=float, required=True, help="truncation half-width")
-    p.add_argument("--grid", type=int, default=2001, help="quadrature nodes")
+    p.add_argument("--grid", type=int, default=DEFAULT_GRID_POINTS,
+                   help="quadrature nodes")
     p.add_argument("--rho-bar", help="score envelope: lemma1 or const:<v>")
     p.add_argument("--var", type=float,
                    help="input variance for --rho-bar lemma1 with --input")

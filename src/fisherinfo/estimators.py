@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .kernels import kde_profile
-from .quadrature import integrate_values, simpson_nodes
+from .quadrature import _check_grid_points, integrate_values, simpson_nodes
 from .samples import SampleSet
 
 #: Guard against division by a numerically-zero density at extreme grid
@@ -46,8 +46,7 @@ class EstimatorConfig:
         for name in ("a0", "a1", "k_n"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
-        if self.grid_points < 3 or self.grid_points % 2 == 0:
-            raise ValueError("grid_points must be odd and >= 3")
+        _check_grid_points(self.grid_points)
 
 
 @dataclass(frozen=True)

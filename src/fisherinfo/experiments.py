@@ -13,12 +13,11 @@ Four experiment kinds:
   grid (fixed precision).
 
 Reports are deterministic: identical config + seed produce byte-identical
-artifacts (no timestamps are recorded).
+artifacts (no timestamps, output paths or thread counts are recorded).
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import enum
 import json
@@ -176,37 +175,34 @@ class DataSeries:
             raise ValueError("rows must be a matrix matching the column names")
         object.__setattr__(self, "rows", rows)
 
+    def write(self, path: str | Path):
+        """Write a `# col,...` header line, then one line per row of the
+        values' repr joined by commas; every line ends in LF."""
+        lines = ["# " + ",".join(self.columns)]
+        lines += [",".join(map(repr, row)) for row in self.rows.tolist()]
+        with open(path, "w", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """All artifacts of one experiment run, ready to serialize."""
+    """All artifacts of one experiment run, ready to serialize: the series
+    becomes the CSV, and the other four fields the report JSON's keys."""
 
     kind: ExperimentKind
     series: DataSeries
-    per_trial_estimates: dict[str, np.ndarray] = field(default_factory=dict)
-    bias: dict[str, float] = field(default_factory=dict)
-    variance: dict[str, float] = field(default_factory=dict)
-    histograms: dict[str, dict] = field(default_factory=dict)
-    truth: dict[str, float] = field(default_factory=dict)
     summary: dict = field(default_factory=dict)
+    per_trial_estimates: dict[str, np.ndarray] = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
 
     def write(self, output_path: str | Path) -> list[Path]:
         """Write <output_path>_<series>.csv and <output_path>_report.json."""
         base = Path(output_path)
         csv_path = base.parent / f"{base.name}_{_SERIES_SUFFIX[self.kind]}.csv"
-        with open(csv_path, "w", newline="") as fh:
-            fh.write("# " + ",".join(self.series.columns) + "\n")
-            writer = csv.writer(fh)
-            for row in self.series.rows:
-                writer.writerow([repr(float(v)) for v in row])
+        self.series.write(csv_path)
         json_path = base.parent / f"{base.name}_report.json"
         payload = {
             "kind": self.kind.value,
-            "bias": self.bias,
-            "variance": self.variance,
-            "histograms": self.histograms,
-            "truth": self.truth,
             "summary": self.summary,
             "per_trial_estimates": {
                 k: [float(x) for x in v] for k, v in self.per_trial_estimates.items()
@@ -220,7 +216,11 @@ class ExperimentReport:
 
 
 def _metadata(config: ExperimentConfig) -> dict:
-    return {"config": config.to_dict(), "version": __version__}
+    """The package version and the config less output_path and threads,
+    which change no computed number and so may not change a report's bytes."""
+    run = config.to_dict()
+    del run["output_path"], run["threads"]
+    return {"config": run, "version": __version__}
 
 
 def _check_kind(config: ExperimentConfig, expected: ExperimentKind):
@@ -332,7 +332,7 @@ def run_snr_sweep(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         kind=config.kind,
         series=DataSeries(columns, np.array(rows)),
-        truth=truth,
+        summary={"truth": truth},
         metadata=_metadata(config),
     )
 
@@ -390,24 +390,24 @@ def run_histogram(config: ExperimentConfig) -> ExperimentReport:
     except UnsupportedOracleError:
         truth_value = math.nan
 
-    per_trial, bias, variance, histograms, truth = {}, {}, {}, {}, {}
-    rows = []
-    summary = {"error_quantiles": {}, "degenerate_variance": {}}
+    per_trial, rows = {}, []
+    summary = {key: {} for key in ("bias", "variance", "histograms", "truth",
+                                   "error_quantiles", "degenerate_variance")}
     for i, n in enumerate(config.n_list):
         label = f"n{n}"
         estimates = _run_trials(config, n, seed_offset=i * config.trials)
         errors = np.abs(estimates - truth_value)
         per_trial[label] = estimates
-        truth[label] = truth_value
-        bias[label] = float(np.mean(estimates) - truth_value)
-        variance[label] = float(np.var(estimates))
+        summary["truth"][label] = truth_value
+        summary["bias"][label] = float(np.mean(estimates) - truth_value)
+        summary["variance"][label] = float(np.var(estimates))
         summary["degenerate_variance"][label] = bool(config.trials == 1)
         estimate_width, error_width = _bin_widths(n)
-        histograms[f"estimates_{label}"] = _fixed_width_histogram(
+        summary["histograms"][f"estimates_{label}"] = _fixed_width_histogram(
             estimates, estimate_width
         )
         if np.all(np.isfinite(errors)):
-            histograms[f"abs_error_{label}"] = _fixed_width_histogram(
+            summary["histograms"][f"abs_error_{label}"] = _fixed_width_histogram(
                 errors, error_width
             )
             summary["error_quantiles"][label] = {
@@ -419,12 +419,8 @@ def run_histogram(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(
         kind=config.kind,
         series=DataSeries(("n", "trial", "estimate", "abs_error"), np.array(rows)),
-        per_trial_estimates=per_trial,
-        bias=bias,
-        variance=variance,
-        histograms=histograms,
-        truth=truth,
         summary=summary,
+        per_trial_estimates=per_trial,
         metadata=_metadata(config),
     )
 

@@ -142,6 +142,8 @@ def _solve_log10_n(rate0, rate1, target_perr):
     the lower end climb to the root without passing it; since h' <= -m, a
     last step h/m lands at or past it. Where the tails round above p, log10 n
     moves up an ulp at a time, at most _ULP_STEPS times, or else is inf.
+    Callers read n as Python's 10**log10_n, which can fall an ulp below
+    numpy's 10.0**l10, so the tails are checked an ulp below numpy's n.
     """
     m, g = np.minimum(rate0, rate1), np.abs(rate0 - rate1)
     log_2_p = math.log(2.0 / target_perr)
@@ -160,7 +162,7 @@ def _solve_log10_n(rate0, rate1, target_perr):
     l10 = np.maximum(np.log10(n + np.maximum(h_and_slope(n)[0], 0.0) / m), 1.0)
 
     def short(l10):
-        n = 10.0**l10
+        n = np.nextafter(10.0**l10, 0.0)
         return _tail(n, rate0) + _tail(n, rate1) > target_perr
 
     above = short(l10)

@@ -43,6 +43,7 @@ from fisherinfo.errors import HypothesisViolationError, InfeasibleTargetError
 from fisherinfo.kernels import (
     _BIAS_SLOPE,
     _solve_log10_n,
+    _tail,
     deviation_rate,
     sup_deviation_tail,
 )
@@ -955,6 +956,27 @@ class TestSampleComplexity:
         assert confidence(n) <= perr
         if got[0] > 1.0:  # not clamped to the smallest n searched
             assert confidence(n * (1.0 - 1e-9)) > perr
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rates=st.lists(st.tuples(st.floats(1e-30, 1.0), st.floats(1e-30, 1.0)),
+                       min_size=1, max_size=8),
+        perr=st.floats(1e-6, 0.99, exclude_min=True, exclude_max=True),
+    )
+    # Checked at numpy's n alone, this cell certified a log10 n an ulp too
+    # small for Python's n.
+    @example(
+        rates=[(0.016430536750020736, 2.8666648999623186e-10)],
+        perr=0.053247029169979435,
+    )
+    def test_n_solve_holds_at_n_as_python_computes_it(self, rates, perr):
+        # Callers read n as 10**log10_n in Python, which can differ from
+        # numpy's array power by an ulp: the certificate must hold there too.
+        r0, r1 = (np.array(r) for r in zip(*rates))
+        l10 = _solve_log10_n(r0, r1, perr)
+        finite = np.isfinite(l10)
+        n = np.array([10 ** float(l) for l in l10[finite]])
+        assert np.all(_tail(n, r0[finite]) + _tail(n, r1[finite]) <= perr)
 
     # log10 n per (eps, p_err) cell of the 9+9-cell table on
     # gaussian_channel(1.0): (eps, p_err, plug-in, clipped). The (0.5, 0.2)

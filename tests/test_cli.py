@@ -361,8 +361,9 @@ class TestDensity:
             "--output", str(out_path),
         )
         assert code == 0
+        assert b"\r" not in out_path.read_bytes()
         lines = out_path.read_text().splitlines()
-        assert lines[0].startswith("#")
+        assert lines[0] == "# t,f_n,f_n_deriv"
         assert len(lines) == 602
         density = np.array([float(line.split(",")[1]) for line in lines[1:]])
         assert np.all(density >= 0)

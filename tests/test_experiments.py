@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import fisherinfo
 import fisherinfo.experiments as experiments
@@ -22,6 +25,7 @@ from fisherinfo import (
 )
 from fisherinfo.experiments import (
     _READS,
+    DataSeries,
     _metadata,
     run_complexity,
     run_density_overlay,
@@ -203,6 +207,32 @@ class TestSnrSweep:
         assert np.all(np.abs(rows[:, 1] - rows[:, 2]) < 1e-6)
 
 
+@st.composite
+def _tables(draw):
+    """A DataSeries of random finite floats under random column names."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    names = draw(st.lists(st.from_regex(r"[a-z_][a-z0-9_]*", fullmatch=True),
+                          min_size=cols, max_size=cols))
+    values = draw(arrays(np.float64, (rows, cols),
+                         elements=st.floats(allow_nan=False, allow_infinity=False)))
+    return DataSeries(tuple(names), values)
+
+
+class TestDataSeries:
+    @settings(max_examples=100, deadline=None)
+    @given(table=_tables())
+    def test_write_is_lf_csv_that_parses_back(self, table, tmp_path_factory):
+        path = tmp_path_factory.mktemp("series") / "table.csv"
+        table.write(path)
+        text = path.read_bytes().decode()
+        assert "\r" not in text and text.endswith("\n")
+        header, *lines = text.splitlines()
+        assert header == "# " + ",".join(table.columns)
+        parsed = np.array([[float(v) for v in line.split(",")] for line in lines])
+        parsed = parsed.reshape(table.rows.shape)
+        assert parsed.tobytes() == table.rows.tobytes()
+
+
 class TestHistogram:
     def test_statistics_and_mass(self):
         config = _config(trials=20)
@@ -210,15 +240,15 @@ class TestHistogram:
         estimates = report.per_trial_estimates["n200"]
         assert estimates.shape == (20,)
         truth = true_fisher(gaussian_channel(1.0))
-        assert report.bias["n200"] == pytest.approx(
+        assert report.summary["bias"]["n200"] == pytest.approx(
             float(np.mean(estimates)) - truth, abs=1e-12
         )
-        for hist in report.histograms.values():
+        for hist in report.summary["histograms"].values():
             assert sum(hist["counts"]) == 20
 
     def test_single_trial_degenerate(self):
         report = run_histogram(_config(trials=1))
-        assert report.variance["n200"] == 0.0
+        assert report.summary["variance"]["n200"] == 0.0
         assert report.summary["degenerate_variance"]["n200"] is True
 
     def test_threading_is_deterministic(self):
@@ -229,10 +259,13 @@ class TestHistogram:
         )
 
     def test_artifacts_byte_identical(self, tmp_path):
+        # output_path and threads change no computed number, so they may
+        # not change a byte either.
+        (tmp_path / "a").mkdir()
         paths = []
-        for run in ("a", "b"):
-            report = run_histogram(_config(trials=4))
-            paths.append(report.write(tmp_path / run))
+        for threads, base in ((1, tmp_path / "a" / "exp"), (3, tmp_path / "b")):
+            config = _config(trials=4, threads=threads, output_path=str(base))
+            paths.append(run_histogram(config).write(config.output_path))
         for first, second in zip(*paths):
             assert first.read_bytes() == second.read_bytes()
 
@@ -244,6 +277,7 @@ class TestHistogram:
         assert first.startswith("#") and "estimate" in first
         parsed = json.loads(json_path.read_text())
         assert parsed["kind"] == "histogram"
+        assert set(parsed) == {"kind", "summary", "per_trial_estimates", "metadata"}
 
     def test_seed_scheme_gives_fresh_trials(self):
         estimates = run_histogram(_config(trials=6)).per_trial_estimates["n200"]
