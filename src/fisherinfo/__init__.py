@@ -9,9 +9,7 @@ from .bounds import (
     ComplexityResult,
     TailModel,
     bhattacharya_error_bound,
-    bhattacharya_precision,
     clipped_error_bound,
-    clipped_precision,
     confidence_bound,
     gaussian_tail_model,
     lemma2_tail,
@@ -42,8 +40,6 @@ from .estimators import (
     EstimateResult,
     EstimatorConfig,
     EstimatorKind,
-    bhattacharya,
-    clipped,
     constant_clip_envelope,
     default_bandwidth,
     default_truncation,

@@ -379,19 +379,6 @@ def clipped_schedule(n, u: float, w0: float, w1: float):
     return n ** (-w0), n ** (-w1), n**u
 
 
-def bhattacharya_precision(n, u: float, w: float, tail: TailModel):
-    """Theorem 5: Theorem 2 at the plug-in schedule point; decays like
-    1/sqrt(u log n) on the Lemma 1/2 tail. Raises HypothesisViolationError
-    where eps0 * phi(k_n) >= 1. Accepts scalar or array n."""
-    return bhattacharya_error_bound(*bhattacharya_schedule(n, u, w), tail)
-
-
-def clipped_precision(n, u: float, w0: float, w1: float, tail: TailModel):
-    """Theorem 6: Theorem 4 at the clipped schedule point; decays
-    polynomially in n. Accepts scalar or array n."""
-    return clipped_error_bound(*clipped_schedule(n, u, w0, w1), tail)
-
-
 def confidence_bound(n, w0: float, w1: float):
     """Failure probability of the schedule a_r = eps_r = n^-w_r: the sum of
     the two sup-deviation tails at (n, a_r, a_r), with exponents

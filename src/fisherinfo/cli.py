@@ -107,6 +107,13 @@ def _check_modes(args):
         raise ValueError("; ".join(problems))
 
 
+def _sample_count(text: str) -> int:
+    """--n as an int: 1e3 is 1000, but 1000.5 is an error, not 1000."""
+    if not float(text).is_integer():
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
+    return int(float(text))
+
+
 def _build_channel(args) -> ChannelModel:
     return ChannelModel(InputLaw(args.channel), snr=args.snr)
 
@@ -235,7 +242,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("estimate", help="estimate Fisher information or MMSE")
     p.add_argument("--input", help="sample file (one value per line)")
     _add_channel_flags(p)
-    p.add_argument("--n", type=lambda s: int(float(s)), help="sample count")
+    p.add_argument("--n", type=_sample_count, help="sample count")
     p.add_argument("--seed", type=int)
     p.add_argument(
         "--estimator", required=True,
@@ -254,7 +261,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("density", help="evaluate f_n and f_n' on a grid")
     p.add_argument("--input", help="sample file (one value per line)")
     _add_channel_flags(p)
-    p.add_argument("--n", type=lambda s: int(float(s)), help="sample count")
+    p.add_argument("--n", type=_sample_count, help="sample count")
     p.add_argument("--seed", type=int)
     p.add_argument("--a", type=float, required=True, help="bandwidth")
     p.add_argument("--grid-range", default="-8:8", help="lo:hi")

@@ -114,17 +114,6 @@ def estimate(samples: SampleSet, config: EstimatorConfig,
     )
 
 
-def bhattacharya(samples: SampleSet, config: EstimatorConfig) -> EstimateResult:
-    """Plug-in estimate of the Fisher information over [-k_n, k_n]: the
-    clipped integrand with no cap, so (f_n')^2 / f_n."""
-    return estimate(samples, config)
-
-
-def clipped(samples: SampleSet, config: EstimatorConfig, rho_bar) -> EstimateResult:
-    """Score-clipped estimate: integral of min(|rho_n|, |rho_bar|) * |f_n'|."""
-    return estimate(samples, config, rho_bar)
-
-
 def mmse_from_fisher(fisher: float, snr: float) -> float:
     """(1 - fisher)/snr: the MMSE implied by the output Fisher information
     for data contaminated by standard Gaussian noise at the given snr."""

@@ -44,14 +44,13 @@ from .errors import InfeasibleTargetError, UnsupportedOracleError
 from .estimators import (
     EstimatorConfig,
     EstimatorKind,
-    bhattacharya,
-    clipped,
     default_bandwidth,
     default_truncation,
     estimate,
     lemma_clip_envelope,
     mmse_from_fisher,
 )
+from .quadrature import _check_integer
 
 
 class ExperimentKind(enum.Enum):
@@ -103,11 +102,14 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.trials < 1:
+        _check_integer("seed", self.seed)
+        if _check_integer("trials", self.trials) < 1:
             raise ValueError("trials must be >= 1")
-        if not self.n_list or any(n < 1 for n in self.n_list):
+        if not self.n_list or any(
+            _check_integer("n_list entry", n) < 1 for n in self.n_list
+        ):
             raise ValueError("n_list must be nonempty with positive counts")
-        if self.threads < 1:
+        if _check_integer("threads", self.threads) < 1:
             raise ValueError("threads must be >= 1")
         reads = _READS[self.kind] | {"kind", "channel", "output_path"}
         unread = [f.name for f in dataclasses.fields(self)
@@ -251,13 +253,11 @@ def run_density_overlay(config: ExperimentConfig) -> ExperimentReport:
 
     grid = np.linspace(-OVERLAY_HALF_WIDTH, OVERLAY_HALF_WIDTH, OVERLAY_GRID_POINTS)
     cols = ["t", "f_true", "f_deriv_true"]
-    data = [grid]
     try:
-        data.append(true_density(config.channel, grid))
-        data.append(true_density_deriv(config.channel, grid))
+        truth = [f(config.channel, grid) for f in (true_density, true_density_deriv)]
     except UnsupportedOracleError:
-        data.append(np.full_like(grid, np.nan))
-        data.append(np.full_like(grid, np.nan))
+        truth = [np.full_like(grid, np.nan)] * 2
+    data = [grid, *truth]
     summary = {"sup_density_error": {}, "sup_deriv_error": {}}
     for i, n in enumerate(config.n_list):
         samples = sample_channel(config.channel, n, trial_seed(config.seed, i))
@@ -265,13 +265,9 @@ def run_density_overlay(config: ExperimentConfig) -> ExperimentReport:
         dens, deriv = kde_profile(samples, a, a, grid)
         cols += [f"f_n{n}", f"f_deriv_n{n}"]
         data += [dens, deriv]
-        if np.all(np.isfinite(data[1])):
-            summary["sup_density_error"][str(n)] = float(
-                np.max(np.abs(dens - data[1]))
-            )
-            summary["sup_deriv_error"][str(n)] = float(
-                np.max(np.abs(deriv - data[2]))
-            )
+        if np.all(np.isfinite(truth[0])):
+            summary["sup_density_error"][str(n)] = float(np.max(np.abs(dens - truth[0])))
+            summary["sup_deriv_error"][str(n)] = float(np.max(np.abs(deriv - truth[1])))
     return ExperimentReport(
         kind=config.kind,
         series=DataSeries(tuple(cols), np.column_stack(data)),
@@ -299,9 +295,9 @@ def run_snr_sweep(config: ExperimentConfig) -> ExperimentReport:
     for i, snr in enumerate(config.snr_grid):
         channel = dataclasses.replace(config.channel, snr=float(snr))
         samples = sample_channel(channel, n, trial_seed(config.seed, i))
-        fisher_plug = bhattacharya(samples, base).value
+        fisher_plug = estimate(samples, base).value
         rho_bar = lemma_clip_envelope(channel.snr * channel.variance)
-        fisher_clip = clipped(samples, base, rho_bar).value
+        fisher_clip = estimate(samples, base, rho_bar).value
         try:
             t_fisher = true_fisher(channel)
             t_mmse = true_mmse(channel)

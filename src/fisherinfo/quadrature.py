@@ -13,8 +13,14 @@ import numpy as np
 from .errors import QuadratureError
 
 
+def _check_integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _check_grid_points(grid_points: int) -> int:
-    grid_points = int(grid_points)
+    grid_points = _check_integer("grid_points", grid_points)
     if grid_points < 3 or grid_points % 2 == 0:
         raise ValueError(f"grid_points must be odd and >= 3, got {grid_points}")
     return grid_points

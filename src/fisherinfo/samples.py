@@ -30,9 +30,6 @@ class SampleSet:
     def n(self) -> int:
         return int(self.values.size)
 
-    def shifted(self, c: float) -> "SampleSet":
-        return SampleSet(self.values + c)
-
     @classmethod
     def from_file(cls, path: str | Path) -> "SampleSet":
         path = Path(path)

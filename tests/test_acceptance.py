@@ -18,9 +18,8 @@ from fisherinfo import (
     ExperimentConfig,
     ExperimentKind,
     SampleSet,
-    bhattacharya,
     binary_channel,
-    clipped,
+    estimate,
     gaussian_channel,
     kde_profile,
     lemma_clip_envelope,
@@ -30,8 +29,10 @@ from fisherinfo import (
     true_fisher,
 )
 from fisherinfo.bounds import (
-    bhattacharya_precision,
-    clipped_precision,
+    bhattacharya_error_bound,
+    bhattacharya_schedule,
+    clipped_error_bound,
+    clipped_schedule,
     gaussian_tail_model,
     sample_complexity,
 )
@@ -131,10 +132,8 @@ def test_criterion_4_clipping_equivalence():
     for snr in range(1, 11):
         channel = gaussian_channel(float(snr))
         samples = sample_channel(channel, 10_000, seed=500 + snr)
-        plug = bhattacharya(samples, base).value
-        clip = clipped(
-            samples, base, lemma_clip_envelope(float(snr))
-        ).value
+        plug = estimate(samples, base).value
+        clip = estimate(samples, base, lemma_clip_envelope(float(snr))).value
         worst = max(worst, abs(plug - clip))
     assert worst < 1e-6
     _ok(
@@ -201,7 +200,7 @@ def test_criterion_6_concentration_soundness():
 def test_criterion_7_oracle_equivalence():
     # Single-sample closed form: f_n = N(0, 0.25), Fisher information 4.
     config = EstimatorConfig(a0=0.5, a1=0.5, k_n=10.0)
-    single = bhattacharya(SampleSet([0.0]), config).value
+    single = estimate(SampleSet([0.0]), config).value
     assert single == pytest.approx(4.0, abs=1e-3)
 
     # Analytic vs quadrature envelope integrals.
@@ -239,8 +238,8 @@ def test_criterion_8_invariant_suite_representatives():
     # Theorem 2 applies to the plug-in schedule from n ~ 2.2e8 on.
     tail = gaussian_tail_model(1.0, 1.0, 1.0)
     n = np.logspace(9, 30, 200)
-    plug = bhattacharya_precision(n, 0.05, 0.15, tail)
-    clip = clipped_precision(n, 0.02, 0.2, 0.12, tail)
+    plug = bhattacharya_error_bound(*bhattacharya_schedule(n, 0.05, 0.15), tail)
+    clip = clipped_error_bound(*clipped_schedule(n, 0.02, 0.2, 0.12), tail)
     assert np.all(np.diff(plug) < 0)
     assert np.all(np.diff(clip) < 0)
     # Polynomial vs logarithmic decay: the clipped schedule overtakes.

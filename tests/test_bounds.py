@@ -16,8 +16,8 @@ from fisherinfo import (
     EstimatorKind,
     InputLaw,
     SampleSet,
-    bhattacharya,
     binary_channel,
+    estimate,
     gaussian_channel,
     lemma_clip_envelope,
     true_score,
@@ -26,11 +26,9 @@ from fisherinfo import bounds as bounds_mod
 from fisherinfo.bounds import (
     _clipped_summed,
     bhattacharya_error_bound,
-    bhattacharya_precision,
     bhattacharya_schedule,
     channel_score_integrals,
     clipped_error_bound,
-    clipped_precision,
     clipped_schedule,
     confidence_bound,
     gaussian_tail_model,
@@ -379,7 +377,7 @@ class TestPluginErrorBound:
         eps0 = float(np.max(np.abs(fn - f)))
         eps1 = float(np.max(np.abs(fnp - fp)))
         config = EstimatorConfig(a0=a, a1=a, k_n=k, grid_points=4001)
-        estimate_value = bhattacharya(SampleSet([0.0]), config).value
+        estimate_value = estimate(SampleSet([0.0]), config).value
         actual_error = abs(1.0 - estimate_value)  # I(N(0,1)) = 1
         bound = bhattacharya_error_bound(eps0, eps1, k, tail)
         assert actual_error <= bound
@@ -603,31 +601,32 @@ class TestTruncationRange:
 
 class TestPrecisionSchedules:
     def test_plugin_range_validation(self, unit_tail):
-        with pytest.raises(HypothesisViolationError):
-            bhattacharya_precision(1e6, 0.05, 1.0 / 6.0, unit_tail)
-        with pytest.raises(HypothesisViolationError):
-            bhattacharya_precision(1e6, 0.2, 0.15, unit_tail)
-        with pytest.raises(HypothesisViolationError):
-            bhattacharya_precision(1.0, 0.05, 0.15, unit_tail)
+        for n, u, w in ((1e6, 0.05, 1.0 / 6.0), (1e6, 0.2, 0.15), (1.0, 0.05, 0.15)):
+            with pytest.raises(HypothesisViolationError):
+                bhattacharya_error_bound(*bhattacharya_schedule(n, u, w), unit_tail)
 
     def test_plugin_decreasing_over_wide_scan(self, unit_tail):
         # eps0 phi(k_n) = sqrt(2 pi) e n^(u-w) < 1 from n ~ 2.2e8 on.
         n = np.logspace(9, 30, 400)
-        eps = bhattacharya_precision(n, 0.05, 0.15, unit_tail)
+        point = bhattacharya_schedule(n, 0.05, 0.15)
+        eps = bhattacharya_error_bound(*point, unit_tail)
         assert np.all(np.diff(eps) < 0)
 
     def test_plugin_raises_below_theorem_2_hypothesis(self, unit_tail):
         for n in (1e6, 1e8, np.array([1e8, 1e9])):
+            point = bhattacharya_schedule(n, 0.05, 0.15)
             with pytest.raises(HypothesisViolationError, match="phi"):
-                bhattacharya_precision(n, 0.05, 0.15, unit_tail)
-        bhattacharya_precision(1e9, 0.05, 0.15, unit_tail)
+                bhattacharya_error_bound(*point, unit_tail)
+        bhattacharya_error_bound(*bhattacharya_schedule(1e9, 0.05, 0.15), unit_tail)
 
     def test_plugin_vanishes_in_the_limit(self, unit_tail):
         # Every term vanishes as n grows. At n = 1e300 the schedule's eps
         # terms are below 1e-28, so the Lemma 2 tail at k_n is all that is
         # left.
-        at_20 = bhattacharya_precision(1e20, 0.05, 0.15, unit_tail)
-        at_300 = bhattacharya_precision(1e300, 0.05, 0.15, unit_tail)
+        at_20, at_300 = (
+            bhattacharya_error_bound(*bhattacharya_schedule(n, 0.05, 0.15), unit_tail)
+            for n in (1e20, 1e300)
+        )
         assert at_300 < at_20
         k = math.sqrt(0.05 * math.log(1e300))
         assert at_300 == pytest.approx(lemma2_tail(k, 1.0, 1.0), rel=1e-12)
@@ -637,31 +636,31 @@ class TestPrecisionSchedules:
         # wins once k_n is large.
         plain = gaussian_tail_model(1.0, 1.0)
         for n in (1e20, 1e100, 1e300):
-            sub = bhattacharya_precision(n, 0.05, 0.15, unit_tail)
-            assert sub <= bhattacharya_precision(n, 0.05, 0.15, plain)
-        assert sub < bhattacharya_precision(1e300, 0.05, 0.15, plain) / 1e4
+            point = bhattacharya_schedule(n, 0.05, 0.15)
+            sub = bhattacharya_error_bound(*point, unit_tail)
+            assert sub <= bhattacharya_error_bound(*point, plain)
+        assert sub < bhattacharya_error_bound(*point, plain) / 1e4
 
     def test_clipped_range_validation(self, unit_tail):
         with pytest.raises(HypothesisViolationError):
-            clipped_precision(1e6, 0.05, 0.25, 0.1, unit_tail)
+            clipped_error_bound(*clipped_schedule(1e6, 0.05, 0.25, 0.1), unit_tail)
         with pytest.raises(HypothesisViolationError):
-            clipped_precision(1e6, 0.1, 0.2, 0.1, unit_tail)
+            clipped_error_bound(*clipped_schedule(1e6, 0.1, 0.2, 0.1), unit_tail)
 
     def test_clipped_small_u_limit_substitution(self, unit_tail):
         # As u -> 0, k_n = n^u -> 1: the Theorem 4 bound at k_n = 1.
         n, w0, w1 = 1e10, 0.2, 0.12
         limit = clipped_error_bound(n**-w0, n**-w1, 1.0, unit_tail)
-        assert clipped_precision(n, 1e-9, w0, w1, unit_tail) == pytest.approx(
-            limit, rel=1e-6
-        )
+        point = clipped_schedule(n, 1e-9, w0, w1)
+        assert clipped_error_bound(*point, unit_tail) == pytest.approx(limit, rel=1e-6)
 
     def test_clipped_polynomial_decay_slope(self, unit_tail):
         # With a sub-Gaussian proxy c(k_n) falls faster than any power of n,
         # and 4 eps1 Phi1 ~ 12 n^(2u - w1) leads 2 eps0 Phi2 ~ 12 n^(3u - w0).
         u, w0, w1 = 0.02, 0.2, 0.12
         n1, n2 = 1e80, 1e100
-        e1 = clipped_precision(n1, u, w0, w1, unit_tail)
-        e2 = clipped_precision(n2, u, w0, w1, unit_tail)
+        e1 = clipped_error_bound(*clipped_schedule(n1, u, w0, w1), unit_tail)
+        e2 = clipped_error_bound(*clipped_schedule(n2, u, w0, w1), unit_tail)
         slope = (math.log10(e2) - math.log10(e1)) / 20.0
         expected = -min(w0 - 3 * u, w1 - 2 * u)
         assert slope == pytest.approx(expected, abs=0.02)
@@ -675,7 +674,8 @@ class TestPrecisionSchedules:
 
         def plugin(u, w):
             try:
-                return bhattacharya_precision(n, u, w, unit_tail)
+                point = bhattacharya_schedule(n, u, w)
+                return bhattacharya_error_bound(*point, unit_tail)
             except HypothesisViolationError:
                 return math.inf
 
@@ -685,7 +685,7 @@ class TestPrecisionSchedules:
             for u in np.linspace(1e-3, w - 1e-3, 30)
         )
         clip = min(
-            clipped_precision(n, u, w0, w1, unit_tail)
+            clipped_error_bound(*clipped_schedule(n, u, w0, w1), unit_tail)
             for w0 in np.linspace(0.05, 0.2499, 20)
             for w1 in np.linspace(0.05, 0.166, 20)
             for u in np.linspace(1e-3, min(w0 / 3, w1 / 2) - 1e-3, 10)
@@ -698,10 +698,11 @@ class TestPrecisionSchedules:
 
 
 class TestSchedulesAreErrorBounds:
-    """Theorems 5 and 6 are Theorems 2 and 4 at the schedule point."""
+    """Theorems 5 and 6 are Theorems 2 and 4 at the schedule point, composed
+    as `fisherinfo bounds` does: bound(*schedule(n, ...), tail)."""
 
-    # Exact at each shape: numpy's array and scalar pow may differ in the
-    # last bit, so a scalar and an array evaluation agree to rounding only.
+    # numpy's array and scalar pow may differ in the last bit, so an array
+    # of n and its scalar calls agree to rounding only.
     @settings(max_examples=60, deadline=None)
     @given(
         log10_n=st.lists(st.floats(9.0, 300.0), min_size=1, max_size=5),
@@ -716,15 +717,12 @@ class TestSchedulesAreErrorBounds:
         eps0, eps1, k = bhattacharya_schedule(n, u, w)
         if np.any(eps0 * tail.phi(k) >= 1.0):
             with pytest.raises(HypothesisViolationError):
-                bhattacharya_precision(n, u, w, tail)
+                bhattacharya_error_bound(eps0, eps1, k, tail)
             return
-        got = bhattacharya_precision(n, u, w, tail)
-        want = bhattacharya_error_bound(eps0, eps1, k, tail)
-        assert got.shape == n.shape and np.array_equal(got, want)
+        got = bhattacharya_error_bound(eps0, eps1, k, tail)
+        assert got.shape == n.shape
         for x, value in zip(n, got):
-            scalar = bhattacharya_precision(x, u, w, tail)
-            point = bhattacharya_schedule(x, u, w)
-            assert scalar == bhattacharya_error_bound(*point, tail)
+            scalar = bhattacharya_error_bound(*bhattacharya_schedule(x, u, w), tail)
             assert scalar == pytest.approx(value, rel=1e-13)
 
     @settings(max_examples=40, deadline=None)
@@ -739,13 +737,10 @@ class TestSchedulesAreErrorBounds:
         tail = gaussian_tail_model(1.0, 1.0, s_alpha2)
         u = u_frac * min(w0 / 3.0, w1 / 2.0)
         n = 10.0 ** np.array(log10_n)
-        got = clipped_precision(n, u, w0, w1, tail)
-        want = clipped_error_bound(*clipped_schedule(n, u, w0, w1), tail)
-        assert got.shape == n.shape and np.array_equal(got, want)
+        got = clipped_error_bound(*clipped_schedule(n, u, w0, w1), tail)
+        assert got.shape == n.shape
         for x, value in zip(n, got):
-            scalar = clipped_precision(x, u, w0, w1, tail)
-            point = clipped_schedule(x, u, w0, w1)
-            assert scalar == clipped_error_bound(*point, tail)
+            scalar = clipped_error_bound(*clipped_schedule(x, u, w0, w1), tail)
             assert scalar == pytest.approx(value, rel=1e-13)
 
     @settings(max_examples=60, deadline=None)
@@ -753,12 +748,12 @@ class TestSchedulesAreErrorBounds:
     def test_plugin_raises_exactly_outside_the_hypothesis(self, log10_n, w, u_frac):
         tail = gaussian_tail_model(1.0, 1.0, 1.0)
         u = u_frac * w
-        eps0, _, k = bhattacharya_schedule(10.0**log10_n, u, w)
+        eps0, eps1, k = bhattacharya_schedule(10.0**log10_n, u, w)
         if eps0 * float(tail.phi(k)) >= 1.0:
             with pytest.raises(HypothesisViolationError):
-                bhattacharya_precision(10.0**log10_n, u, w, tail)
+                bhattacharya_error_bound(eps0, eps1, k, tail)
         else:
-            assert bhattacharya_precision(10.0**log10_n, u, w, tail) > 0
+            assert bhattacharya_error_bound(eps0, eps1, k, tail) > 0
 
     @settings(max_examples=40, deadline=None)
     @given(log10_n=st.floats(0.5, 300.0), w=st.floats(0.02, 0.16),
@@ -774,11 +769,11 @@ class TestSchedulesAreErrorBounds:
 
     def test_corrected_schedule_values(self):
         # The closed forms these replace printed 1.42558 and 25.333.
-        assert bhattacharya_precision(
-            1e20, 0.05, 0.15, gaussian_tail_model(1.0, 1.0, 1.0)
+        assert bhattacharya_error_bound(
+            *bhattacharya_schedule(1e20, 0.05, 0.15), gaussian_tail_model(1.0, 1.0, 1.0)
         ) == pytest.approx(1.39596, abs=1e-5)
-        assert clipped_precision(
-            1e6, 0.05, 0.2, 0.15, gaussian_tail_model(4.0, 4.0)
+        assert clipped_error_bound(
+            *clipped_schedule(1e6, 0.05, 0.2, 0.15), gaussian_tail_model(4.0, 4.0)
         ) == pytest.approx(36.947, abs=1e-3)
 
 

@@ -11,8 +11,7 @@ import pytest
 from fisherinfo import (
     EstimatorConfig,
     SampleSet,
-    bhattacharya,
-    clipped,
+    estimate,
     gaussian_channel,
     lemma_clip_envelope,
     mmse_from_fisher,
@@ -53,7 +52,7 @@ class TestEstimate:
         )
         samples = sample_channel(gaussian_channel(1.0), 2000, 3)
         config = EstimatorConfig(a0=0.3, a1=0.3, k_n=8.0)
-        assert json.loads(out)["value"] == bhattacharya(samples, config).value
+        assert json.loads(out)["value"] == estimate(samples, config).value
 
     def test_seed_determinism(self, capsys):
         args = (
@@ -73,6 +72,16 @@ class TestEstimate:
         )
         assert code == 0
         assert json.loads(out)["n"] == 1000
+
+    @pytest.mark.parametrize("count", ["1000.7", "1000.5", "1e-1"])
+    def test_fractional_sample_count_is_usage_error(self, capsys, count):
+        code, out, err = run_cli(
+            capsys, "estimate", "--channel", "gaussian", "--snr", "1",
+            "--n", count, "--estimator", "bhattacharya",
+            "--a0", "0.3", "--a1", "0.3", "--kn", "6",
+        )
+        assert code == 1 and out == ""
+        assert "argument --n: must be an integer" in err
 
     def test_clipped_from_file_without_envelope_is_usage_error(
         self, capsys, tmp_path
@@ -203,7 +212,7 @@ class TestEnvelopeFlags:
         assert code == 0
         samples = SampleSet.from_file(sample_file[1])
         config = EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0, grid_points=101)
-        want = clipped(samples, config, lemma_clip_envelope(2.0 * 0.5))
+        want = estimate(samples, config, lemma_clip_envelope(2.0 * 0.5))
         assert json.loads(out)["value"] == want.value
 
     @pytest.mark.parametrize("source", ["file", "channel"])
@@ -619,6 +628,19 @@ class TestExperiment:
         assert (tmp_path / "fig5_hist.csv").exists()
         report = json.loads((tmp_path / "fig5_report.json").read_text())
         assert report["kind"] == "histogram"
+
+    @pytest.mark.parametrize(
+        "key, value", [("trials", 2.5), ("n_list", [1e3]), ("seed", 1.5)]
+    )
+    def test_non_integer_field_usage_error(self, capsys, tmp_path, key, value):
+        config = {"kind": "histogram", "channel": {"input": "gaussian", "snr": 1.0},
+                  "n_list": [200], key: value, "output_path": str(tmp_path / "x")}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "must be an integer" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     def test_bad_config_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -12,8 +12,6 @@ from fisherinfo import (
     EstimatorConfig,
     EstimatorKind,
     SampleSet,
-    bhattacharya,
-    clipped,
     constant_clip_envelope,
     default_bandwidth,
     default_truncation,
@@ -65,6 +63,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0, grid_points=100)
 
+    @pytest.mark.parametrize("grid_points", [101.9, 101.0, True, "101"])
+    def test_grid_points_integer(self, grid_points):
+        # A fractional grid size is refused, never truncated to its floor.
+        with pytest.raises(ValueError, match="grid_points must be an integer"):
+            EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0, grid_points=grid_points)
+        config = EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0, grid_points=np.int64(101))
+        assert config.grid_points == 101
+
     def test_defaults(self):
         assert default_bandwidth(10_000) == pytest.approx(10_000 ** (-1 / 6))
         assert default_truncation(10_000) == pytest.approx(math.log(10_000))
@@ -84,7 +90,7 @@ class TestScoreAt:
     def test_floor_keeps_result_finite(self):
         # f_n underflows to 0 far out on [-100, 100]; the floor absorbs it.
         config = EstimatorConfig(a0=0.1, a1=0.1, k_n=100.0)
-        result = bhattacharya(SampleSet([0.0]), config)
+        result = estimate(SampleSet([0.0]), config)
         assert math.isfinite(result.value)
         assert result.floored_fraction > 0.9
 
@@ -93,14 +99,14 @@ class TestBhattacharya:
     def test_single_sample_unit_bandwidth(self):
         # f_n is exactly N(0,1); its Fisher information is 1.
         config = EstimatorConfig(a0=1.0, a1=1.0, k_n=10.0)
-        result = bhattacharya(SampleSet([0.0]), config)
+        result = estimate(SampleSet([0.0]), config)
         assert result.value == pytest.approx(1.0, abs=1e-4)
         assert result.estimator is EstimatorKind.BHATTACHARYA
 
     def test_single_sample_half_bandwidth(self):
         # f_n = N(0, 0.25): Fisher information 1/a^2 = 4.
         config = EstimatorConfig(a0=0.5, a1=0.5, k_n=10.0)
-        assert bhattacharya(SampleSet([0.0]), config).value == pytest.approx(
+        assert estimate(SampleSet([0.0]), config).value == pytest.approx(
             4.0, abs=1e-3
         )
 
@@ -108,7 +114,7 @@ class TestBhattacharya:
         # Narrow truncation against the closed-form truncated integral.
         config = EstimatorConfig(a0=1.0, a1=1.0, k_n=1.5)
         expected = truncated_gaussian_fisher(1.0, 1.5)
-        assert bhattacharya(SampleSet([0.0]), config).value == pytest.approx(
+        assert estimate(SampleSet([0.0]), config).value == pytest.approx(
             expected, abs=1e-4
         )
 
@@ -117,40 +123,35 @@ class TestBhattacharya:
         a = default_bandwidth(n)
         config = EstimatorConfig(a0=a, a1=a, k_n=default_truncation(n))
         s = sample_channel(gaussian_channel(1.0), n, seed=11)
-        assert bhattacharya(s, config).value == pytest.approx(0.5, abs=0.05)
+        assert estimate(s, config).value == pytest.approx(0.5, abs=0.05)
 
     @settings(max_examples=25, deadline=None)
     @given(finite_samples, st.floats(min_value=0.2, max_value=2))
     def test_nonnegative(self, values, a):
         config = EstimatorConfig(a0=a, a1=a, k_n=5.0)
-        assert bhattacharya(SampleSet(values), config).value >= 0.0
+        assert estimate(SampleSet(values), config).value >= 0.0
 
 
 class TestClipped:
-    def test_requires_envelope(self):
-        config = EstimatorConfig(a0=0.5, a1=0.5, k_n=5.0)
-        with pytest.raises(TypeError, match="rho_bar"):
-            clipped(SampleSet([0.0]), config)
-
     def test_huge_constant_envelope_matches_plugin(self):
         s = SampleSet([-0.5, 0.2, 1.0])
         config = EstimatorConfig(a0=0.8, a1=0.8, k_n=6.0)
         loose = constant_clip_envelope(1e12)
-        assert clipped(s, config, loose).value == pytest.approx(
-            bhattacharya(s, config).value, abs=1e-9
+        assert estimate(s, config, loose).value == pytest.approx(
+            estimate(s, config).value, abs=1e-9
         )
 
     def test_zero_envelope_gives_zero(self):
         config = EstimatorConfig(a0=0.5, a1=0.5, k_n=5.0)
-        result = clipped(SampleSet([0.0, 1.0]), config, constant_clip_envelope(0.0))
+        result = estimate(SampleSet([0.0, 1.0]), config, constant_clip_envelope(0.0))
         assert result.value == 0.0
         assert result.clip_active_fraction > 0.9
 
     def test_lemma_envelope_matches_plugin_on_channel_data(self):
         s = sample_channel(gaussian_channel(1.0), 10_000, seed=3)
         base = EstimatorConfig(a0=0.3, a1=0.3, k_n=10.0)
-        assert clipped(s, base, lemma_clip_envelope(1.0)).value == pytest.approx(
-            bhattacharya(s, base).value, abs=1e-6
+        assert estimate(s, base, lemma_clip_envelope(1.0)).value == pytest.approx(
+            estimate(s, base).value, abs=1e-6
         )
 
     def test_clip_dominance(self):
@@ -158,7 +159,7 @@ class TestClipped:
         s = SampleSet([-1.0, 0.0, 2.0])
         env = lemma_clip_envelope(1.0)
         config = EstimatorConfig(a0=0.4, a1=0.4, k_n=6.0)
-        value = clipped(s, config, env).value
+        value = estimate(s, config, env).value
         upper = integrate(
             lambda t: np.abs(env(t)) * np.abs(kde_profile(s, 0.4, 0.4, t)[1]),
             -6.0, 6.0, config.grid_points,
@@ -170,22 +171,22 @@ class TestClipped:
         # estimators integrate identical values.
         s = SampleSet([0.0, 0.5])
         base = EstimatorConfig(a0=1.0, a1=1.0, k_n=3.0)
-        result = clipped(s, base, constant_clip_envelope(100.0))
+        result = estimate(s, base, constant_clip_envelope(100.0))
         assert result.clip_active_fraction == 0.0
-        assert result.value == bhattacharya(s, base).value
+        assert result.value == estimate(s, base).value
 
     def test_non_finite_envelope_rejected(self):
         config = EstimatorConfig(a0=0.5, a1=0.5, k_n=5.0)
         with pytest.raises(ValueError, match="finite"):
-            clipped(SampleSet([0.0]), config,
-                    lambda t: np.full_like(np.asarray(t, float), np.inf))
+            estimate(SampleSet([0.0]), config,
+                     lambda t: np.full_like(np.asarray(t, float), np.inf))
 
     @settings(max_examples=25, deadline=None)
     @given(finite_samples, st.floats(min_value=0.3, max_value=2))
     def test_nonnegative(self, values, a):
         config = EstimatorConfig(a0=a, a1=a, k_n=5.0)
         env = lemma_clip_envelope(1.0)
-        assert clipped(SampleSet(values), config, env).value >= 0.0
+        assert estimate(SampleSet(values), config, env).value >= 0.0
 
 
 class TestMmse:
@@ -220,14 +221,12 @@ class TestDispatch:
         s = sample_channel(gaussian_channel(1.0), 500, seed=9)
         config = EstimatorConfig(a0=0.3, a1=0.3, k_n=8.0)
         env = lemma_clip_envelope(1.0)
-        assert estimate(s, config) == bhattacharya(s, config)
-        assert estimate(s, config, env) == clipped(s, config, env)
         assert estimate(s, config).estimator is EstimatorKind.BHATTACHARYA
         assert estimate(s, config, env).estimator is EstimatorKind.CLIPPED
 
     def test_result_serialization(self):
         config = EstimatorConfig(a0=1.0, a1=1.0, k_n=5.0)
-        d = bhattacharya(SampleSet([0.0]), config).to_dict()
+        d = estimate(SampleSet([0.0]), config).to_dict()
         assert set(d) == {
             "value", "estimator", "clip_active_fraction", "floored_fraction"
         }
@@ -240,8 +239,8 @@ class TestShiftEquivariance:
         c = 1.0
         base = EstimatorConfig(a0=0.5, a1=0.5, k_n=20.0)
         wide = EstimatorConfig(a0=0.5, a1=0.5, k_n=21.0, grid_points=2101)
-        before = bhattacharya(s, base).value
-        after = bhattacharya(s.shifted(c), wide).value
+        before = estimate(s, base).value
+        after = estimate(SampleSet(s.values + c), wide).value
         assert after == pytest.approx(before, abs=1e-8)
 
 
@@ -261,10 +260,10 @@ class TestScaling:
         base = EstimatorConfig(a0=a, a1=a, k_n=k)
         scaled = EstimatorConfig(a0=c * a, a1=c * a, k_n=c * k)
         pairs = [
-            (bhattacharya(s, base), bhattacharya(SampleSet(c * s.values), scaled)),
+            (estimate(s, base), estimate(SampleSet(c * s.values), scaled)),
             (
-                clipped(s, base, constant_clip_envelope(level)),
-                clipped(SampleSet(c * s.values), scaled,
+                estimate(s, base, constant_clip_envelope(level)),
+                estimate(SampleSet(c * s.values), scaled,
                         constant_clip_envelope(level / c)),
             ),
         ]

@@ -62,6 +62,28 @@ class TestConfig:
         with pytest.raises(ValueError):
             _config(kind=ExperimentKind.SNR_SWEEP, snr_grid=())
 
+    @pytest.mark.parametrize(
+        "key, value, field",
+        [("trials", 2.5, "trials"), ("trials", True, "trials"),
+         ("seed", 1.5, "seed"), ("n_list", [1e3], "n_list entry"),
+         ("n_list", [1000, 200.5], "n_list entry"), ("threads", 2.0, "threads")],
+    )
+    def test_integer_fields_rejected_when_not_integers(self, key, value, field):
+        # A float count or seed is refused by name, never truncated by int().
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig.from_dict(
+                {"kind": "histogram", "channel": {"input": "gaussian", "snr": 1},
+                 key: value}
+            )
+
+    def test_estimator_config_grid_points_from_json_rejected(self):
+        with pytest.raises(ValueError, match="grid_points must be an integer"):
+            ExperimentConfig.from_dict(
+                {"kind": "histogram", "channel": {"input": "gaussian", "snr": 1},
+                 "estimator_config": {"a0": 0.3, "a1": 0.3, "k_n": 5,
+                                      "grid_points": 101.9}}
+            )
+
     def test_from_dict_fail_closed(self):
         with pytest.raises(ValueError, match="unknown"):
             ExperimentConfig.from_dict(

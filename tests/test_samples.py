@@ -28,10 +28,6 @@ class TestSampleSet:
         with pytest.raises(ValueError):
             SampleSet([[1.0, 2.0]])
 
-    def test_shifted(self):
-        t = SampleSet([1.0, 2.0]).shifted(1.5)
-        assert np.allclose(t.values, [2.5, 3.5])
-
 
 class TestFileIO:
     def test_round_trip(self, tmp_path):
