@@ -102,7 +102,8 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        _check_integer("seed", self.seed)
+        if _check_integer("seed", self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if _check_integer("trials", self.trials) < 1:
             raise ValueError("trials must be >= 1")
         if not self.n_list or any(
@@ -143,6 +144,8 @@ class ExperimentConfig:
             kwargs["estimator_config"] = EstimatorConfig(**ec)
         for key in ("n_list", "snr_grid"):
             if key in d:
+                if not isinstance(d[key], (list, tuple)):
+                    raise ValueError(f"{key} must be a list, got {d[key]!r}")
                 kwargs[key] = tuple(d[key])
         return cls(**kwargs)
 

@@ -642,6 +642,21 @@ class TestExperiment:
         assert err.startswith("error: ") and "must be an integer" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
+    @pytest.mark.parametrize(
+        "key, value, message", [("n_list", 5, "n_list must be a list"),
+                                ("seed", -1, "seed must be >= 0")]
+    )
+    def test_malformed_field_usage_error(self, capsys, tmp_path, key, value, message):
+        config = {"kind": "histogram", "channel": {"input": "gaussian", "snr": 1.0},
+                  "n_list": [200], key: value, "output_path": str(tmp_path / "x")}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
     def test_bad_config_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"kind": "histogram"}))

@@ -76,6 +76,21 @@ class TestConfig:
                  key: value}
             )
 
+    @pytest.mark.parametrize("key, value", [("n_list", 5), ("snr_grid", 0.5),
+                                            ("n_list", "1000")])
+    def test_sequence_fields_rejected_when_not_lists(self, key, value):
+        # tuple(5) would end in a TypeError that names no field.
+        with pytest.raises(ValueError, match=f"{key} must be a list"):
+            ExperimentConfig.from_dict(
+                {"kind": "snr_sweep", "channel": {"input": "gaussian", "snr": 1},
+                 key: value}
+            )
+
+    def test_negative_seed_rejected(self):
+        # numpy would refuse it only at sampling time, without naming the field.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            _config(seed=-1)
+
     def test_estimator_config_grid_points_from_json_rejected(self):
         with pytest.raises(ValueError, match="grid_points must be an integer"):
             ExperimentConfig.from_dict(
