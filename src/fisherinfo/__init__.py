@@ -11,11 +11,9 @@ from .bounds import (
     bhattacharya_error_bound,
     clipped_error_bound,
     confidence_bound,
-    gaussian_tail_model,
     lemma2_tail,
     modified_error_bound,
     sample_complexity,
-    tail_model_for_channel,
 )
 from .channel import (
     ChannelModel,

@@ -7,9 +7,10 @@ Gaussian-noise data:
 * deterministic error bounds given sup-norm estimation errors (eps0, eps1)
   on the density and its derivative over [-k_n, k_n] (Theorems 2-4), all
   reading the sampled density through one TailModel;
-* the Gaussian-channel TailModel (inverse-density envelope phi, score
-  envelope rho_max and its integrals, tail mass c(k_n)), read from three
-  moments of the signal S = sqrt(snr) X;
+* TailModel, a value of three moments of the signal S = sqrt(snr) X and an
+  optional built-in channel, whose methods give the inverse-density
+  envelope phi, the score envelope rho_max and its integrals, the score
+  integrals and the tail mass c(k_n);
 * the precision/confidence schedules (Theorems 5 and 6): Theorems 2 and 4
   at a = n^-w, k_n = sqrt(u log n) (plug-in) and a_r = n^-w_r, k_n = n^u
   (clipped);
@@ -23,7 +24,6 @@ import dataclasses
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -41,30 +41,7 @@ _PHI_T_MAX = math.sqrt(_PHI_EXP_MAX) + 1.0
 
 
 # ---------------------------------------------------------------------------
-# Domain types
-
-
-@dataclass(frozen=True)
-class TailModel:
-    """Envelopes and tail functionals of the (unknown) sampled density.
-
-    phi(x) bounds 1/f on [-x, x] (inf where it overflows); rho_max(k)
-    bounds sup_{|t|<=k} |f'/f|; rho_bar_integrals(k) is (int |rho_bar|,
-    int rho_bar^2) over [-k, k] for a pointwise score envelope rho_bar, and
-    score_integrals(k) the same for the true score, or for rho_bar where
-    the score is unknown; c_tail(k) bounds the Fisher-information mass
-    outside [-k, k]. Each accepts scalar or array k.
-    """
-
-    phi: Callable[[float], float]
-    rho_max: Callable[[float], float]
-    rho_bar_integrals: Callable[[float], tuple[float, float]]
-    score_integrals: Callable[[float], tuple[float, float]]
-    c_tail: Callable[[float], float]
-
-
-# ---------------------------------------------------------------------------
-# Gaussian-channel envelopes
+# Gaussian-channel tail model
 
 
 _V_GRID = np.arange(0.05, 5.0 + 1e-12, 0.05)
@@ -125,9 +102,10 @@ def lemma2_tail(k_n, s_m2: float, s_alpha2: float | None = None):
     """Upper bound on the Fisher-information mass outside [-k_n, k_n].
 
     Minimizes over the Holder exponent v > 0. Always evaluates the
-    second-moment branch on s_m2; given s_alpha2, also evaluates the
-    Chernoff branch and returns the smaller (see gaussian_tail_model). The
-    result may exceed 1 and is returned as-is.
+    second-moment branch on s_m2 = E[S^2]; given s_alpha2, the squared
+    sub-Gaussian proxy of |S|, also evaluates the Chernoff branch and
+    returns the smaller (TailModel.c_tail). The result may exceed 1 and is
+    returned as-is.
 
     Accepts scalar or array k_n.
     """
@@ -149,60 +127,72 @@ def lemma2_tail(k_n, s_m2: float, s_alpha2: float | None = None):
     return _as_output(tail.reshape(-1, *k.shape).min(axis=0))
 
 
-def gaussian_tail_model(
-    s_var: float, s_m2: float, s_alpha2: float | None = None
-) -> TailModel:
-    """TailModel for a signal S in standard Gaussian noise, from s_var =
-    Var S, s_m2 = E[S^2] and s_alpha2, the squared sub-Gaussian proxy of |S|:
-    snr Var X, snr E[X^2] and snr alpha^2 for S = sqrt(snr) X.
+@dataclass(frozen=True)
+class TailModel:
+    """Envelopes and tail functionals of the density of Y = S + Z, Z standard
+    Gaussian, from s_var = Var S, s_m2 = E[S^2] and s_alpha2, the squared
+    sub-Gaussian proxy of |S|: snr Var X, snr E[X^2] and snr alpha^2 for
+    S = sqrt(snr) X. channel, a built-in ChannelModel, supplies the true
+    score; for_channel builds both from a channel.
 
-    Lemma 1: phi(t) = sqrt(2 pi) exp(t^2 + s_m2) and the score envelope
-    rho_bar = lemma_clip_envelope(s_var), the one the clipped estimator caps
-    at. rho_bar grows in |t|, so rho_max is rho_bar itself; its integrals
-    over [-k, k] are exact polynomials in k and c = rho_bar(0), and they
-    stand in for the unknown true-score integrals. c_tail is the Lemma 2
-    bound.
+    phi(t) = sqrt(2 pi) exp(t^2 + s_m2) bounds 1/f on [-t, t] (Lemma 1; inf
+    where it overflows). rho_max is Lemma 1's score envelope rho_bar =
+    lemma_clip_envelope(s_var), the one the clipped estimator caps at; it
+    grows in |t|, so it bounds sup_{|t|<=k} |f'/f| too. rho_bar_integrals(k)
+    is (int |rho_bar|, int rho_bar^2) over [-k, k], exact polynomials in k
+    and c = rho_bar(0); score_integrals(k) is the same pair for the true
+    score, or for rho_bar where the score is unknown. c_tail(k) is Lemma 2's
+    bound on the Fisher-information mass outside [-k, k]. Each method
+    accepts scalar or array k.
     """
-    given = [s_var, s_m2] + ([] if s_alpha2 is None else [s_alpha2])
-    if not all(0.0 <= v < math.inf for v in given) or s_m2 < s_var:
-        raise ValueError("need finite s_m2 >= s_var >= 0 and s_alpha2 >= 0")
-    rho_bar = lemma_clip_envelope(s_var)
-    c = float(rho_bar(0.0))
 
-    def phi(t):
+    s_var: float
+    s_m2: float
+    s_alpha2: float | None = None
+    channel: ChannelModel | None = None
+
+    def __post_init__(self):
+        s_alpha2 = 0.0 if self.s_alpha2 is None else self.s_alpha2
+        given = (self.s_var, self.s_m2, s_alpha2)
+        if not all(0.0 <= v < math.inf for v in given) or self.s_m2 < self.s_var:
+            raise ValueError("need finite s_m2 >= s_var >= 0 and s_alpha2 >= 0")
+
+    @classmethod
+    def for_channel(cls, model: ChannelModel) -> "TailModel":
+        """The channel's signal moments; a built-in input also gives its true
+        score (channel_score_integrals)."""
+        snr = model.snr
+        return cls(
+            snr * model.variance,
+            snr * model.second_moment,
+            model.alpha**2 * snr,
+            None if model.input is InputLaw.CUSTOM else model,
+        )
+
+    def phi(self, t):
         # sqrt(2 pi) e^x, with inf past the largest finite value.
-        x = np.square(np.minimum(np.abs(t), _PHI_T_MAX)) + s_m2
+        x = np.square(np.minimum(np.abs(t), _PHI_T_MAX)) + self.s_m2
         return np.where(
             x <= _PHI_EXP_MAX, _SQRT_2PI * np.exp(np.minimum(x, _PHI_EXP_MAX)), np.inf
         )
 
-    def rho_bar_integrals(k):
+    def rho_max(self, k):
+        return lemma_clip_envelope(self.s_var)(k)
+
+    def rho_bar_integrals(self, k):
+        c = float(self.rho_max(0.0))
         return (
             2.0 * c * k + 3.0 * k**2,
             2.0 * c**2 * k + 6.0 * c * k**2 + 6.0 * k**3,
         )
 
-    return TailModel(
-        phi=phi,
-        rho_max=rho_bar,
-        rho_bar_integrals=rho_bar_integrals,
-        score_integrals=rho_bar_integrals,
-        c_tail=lambda k: lemma2_tail(k, s_m2, s_alpha2),
-    )
+    def score_integrals(self, k):
+        if self.channel is None:
+            return self.rho_bar_integrals(k)
+        return channel_score_integrals(self.channel, k)
 
-
-def tail_model_for_channel(model: ChannelModel) -> TailModel:
-    """gaussian_tail_model for the channel's signal moments; a built-in
-    input also gets its true-score integrals (channel_score_integrals)."""
-    snr = model.snr
-    tail = gaussian_tail_model(
-        snr * model.variance, snr * model.second_moment, model.alpha**2 * snr
-    )
-    if model.input is InputLaw.CUSTOM:
-        return tail
-    return dataclasses.replace(
-        tail, score_integrals=lambda k: channel_score_integrals(model, k)
-    )
+    def c_tail(self, k):
+        return lemma2_tail(k, self.s_m2, self.s_alpha2)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +498,7 @@ def sample_complexity(
         raise ValueError("target_eps must lie in (0, 1]")
     if not (0.0 < target_perr < 1.0):
         raise ValueError("target_perr must lie in (0, 1)")
-    tail = tail_model_for_channel(channel)
+    tail = TailModel.for_channel(channel)
 
     k_grid, best = _K_GRID, None
     dk = float(k_grid[1] - k_grid[0])
@@ -523,10 +513,12 @@ def sample_complexity(
             # where phi(k) overflows.
             e1_min = math.exp(_LOG_E1_GRID[estimator][0])
             prec = _precision(estimator, consts, 0.0, e1_min)
+            best_prec = float(np.fmin.reduce(prec))
             raise InfeasibleTargetError(
                 f"no parameters reach precision {target_eps} with confidence "
-                f"{target_perr} within n <= 1e{LOG10_N_MAX:g}",
-                best_precision=float(np.fmin.reduce(prec)),
+                f"{target_perr} within n <= 1e{LOG10_N_MAX:g}; the smallest "
+                f"precision bound on the search grid is {best_prec:.6g}",
+                best_precision=best_prec,
             )
         if best is None or log10_n[i] < best[0]:
             best = (log10_n[i], k_grid[i], log_e1[i], [v[i : i + 1] for v in consts])

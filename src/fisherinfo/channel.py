@@ -43,8 +43,8 @@ class ChannelModel:
     sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
 
     def __post_init__(self):
-        if not self.snr >= 0:
-            raise ValueError("snr must be nonnegative")
+        if not 0 <= self.snr < math.inf:
+            raise ValueError(f"snr must be finite and nonnegative, got {self.snr}")
         if self.variance < 0 or self.second_moment < self.variance:
             raise ValueError("need second_moment >= variance >= 0")
         if self.input is InputLaw.CUSTOM:

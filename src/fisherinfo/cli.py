@@ -20,7 +20,6 @@ from .errors import (
     HypothesisViolationError,
     InfeasibleTargetError,
     QuadratureError,
-    UnsupportedOracleError,
 )
 from .estimators import (
     DEFAULT_GRID_POINTS,
@@ -177,7 +176,7 @@ def cmd_density(args) -> int:
 
 def cmd_bounds(args) -> int:
     s_alpha2 = None if args.alpha is None else args.alpha**2
-    tail = bounds_mod.gaussian_tail_model(args.var, args.ex2, s_alpha2)
+    tail = bounds_mod.TailModel(args.var, args.ex2, s_alpha2)
     payload = {}
     if args.theorem in ("2", "3", "4"):
         eps0 = args.eps0 if args.eps0 is not None else 0.0
@@ -336,7 +335,7 @@ def main(argv=None) -> int:
     except (HypothesisViolationError, InfeasibleTargetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_HYPOTHESIS
-    except (ValueError, QuadratureError, UnsupportedOracleError) as exc:
+    except (ValueError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -73,10 +73,12 @@ def default_truncation(n: int) -> float:
 def lemma_clip_envelope(s_var: float):
     """Lemma 1's score envelope sqrt(3 s_var) + 3|t| for Gaussian-noise data,
     with s_var = snr Var X the variance of the signal: the clipped estimator's
-    cap, and the envelope bounds.gaussian_tail_model integrates for Theorem 4.
+    cap, and bounds.TailModel.rho_max, the envelope Theorem 4 integrates.
     """
-    if not s_var >= 0:
-        raise ValueError(f"s_var = snr Var X must be nonnegative, got {s_var}")
+    if not 0 <= s_var < math.inf:
+        raise ValueError(
+            f"s_var = snr Var X must be finite and nonnegative, got {s_var}"
+        )
     c = math.sqrt(3.0 * s_var)
     return lambda t: c + 3.0 * np.abs(t)
 
@@ -117,7 +119,7 @@ def estimate(samples: SampleSet, config: EstimatorConfig,
 def mmse_from_fisher(fisher: float, snr: float) -> float:
     """(1 - fisher)/snr: the MMSE implied by the output Fisher information
     for data contaminated by standard Gaussian noise at the given snr."""
-    if not snr > 0:
-        raise ValueError("snr must be positive")
+    if not 0 < snr < math.inf:
+        raise ValueError(f"snr must be positive and finite, got {snr}")
     return (1.0 - fisher) / snr
 

@@ -118,10 +118,12 @@ class ExperimentConfig:
         if unread:
             raise ValueError(f"{self.kind.value} experiments do not read "
                              + ", ".join(unread))
-        if self.kind is ExperimentKind.SNR_SWEEP and not (
-            self.snr_grid and len(self.n_list) == 1
-        ):
-            raise ValueError("SNR_SWEEP needs a nonempty snr_grid and one sample size")
+        if self.kind is ExperimentKind.SNR_SWEEP:
+            if not (self.snr_grid and len(self.n_list) == 1):
+                raise ValueError(
+                    "SNR_SWEEP needs a nonempty snr_grid and one sample size")
+            for snr in self.snr_grid:  # ChannelModel checks each point
+                dataclasses.replace(self.channel, snr=float(snr))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

@@ -94,10 +94,11 @@ def _lattice(a: float, h: float):
     return s, h_b, math.ceil(_TAP_RADIUS * a / h_b)
 
 
-def _binned_sums(values: np.ndarray, a: float, t0: float, h: float, size: int,
+def _binned_sums(values: np.ndarray, a: float, t0: float, lattice, size: int,
                  want_deriv: bool):
     """(f_n, f_n') on the uniform grid t0 + j h, j < size, by linear binning
-    and convolution: _kernel_sums' outputs to within the bound below.
+    and convolution on lattice = _lattice(a, h): _kernel_sums' outputs to
+    within the bound below.
 
     The lattice g_k = t0 + (k - m) h_b, h_b = h/s with s = ceil(4h/a), holds
     every grid node and has h_b <= a/4. Each sample's unit mass is split
@@ -116,7 +117,7 @@ def _binned_sums(values: np.ndarray, a: float, t0: float, h: float, size: int,
     of the two terms bounds |binned - exact| at every node, up to rounding.
     """
     n = values.size
-    s, h_b, m = _lattice(a, h)
+    s, h_b, m = lattice
     length = (size - 1) * s + 2 * m + 1
     pos = (values - t0) / h_b + m
     pos = pos[(pos >= 0) & (pos < length - 1)]
@@ -133,9 +134,9 @@ def _binned_sums(values: np.ndarray, a: float, t0: float, h: float, size: int,
 
 
 def _binned_grid(a: float, grid: np.ndarray):
-    """(t0, h) when grid is t0 + j h, h > 0, to within 64 ulps and the binned
-    sums' lattice length times taps is at most _MAX_BINNED_WORK; None
-    otherwise."""
+    """(t0, _lattice(a, h)) when grid is t0 + j h, h > 0, to within 64 ulps
+    and the binned sums' lattice length times taps is at most
+    _MAX_BINNED_WORK; None otherwise."""
     size = grid.size
     if size < 2:
         return None
@@ -147,10 +148,11 @@ def _binned_grid(a: float, grid: np.ndarray):
     off = np.abs(grid - (t0 + h * np.arange(size)))
     if not np.all(off <= 64 * np.spacing(np.max(np.abs(grid)))):
         return None
-    s, _, m = _lattice(a, h)
+    lattice = _lattice(a, h)
+    s, _, m = lattice
     if ((size - 1) * s + 2 * m + 1) * (2 * m + 1) > _MAX_BINNED_WORK:
         return None
-    return t0, h
+    return t0, lattice
 
 
 def _sums(values: np.ndarray, a: float, grid: np.ndarray, want_deriv: bool):

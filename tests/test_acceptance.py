@@ -29,11 +29,11 @@ from fisherinfo import (
     true_fisher,
 )
 from fisherinfo.bounds import (
+    TailModel,
     bhattacharya_error_bound,
     bhattacharya_schedule,
     clipped_error_bound,
     clipped_schedule,
-    gaussian_tail_model,
     sample_complexity,
 )
 from fisherinfo.experiments import run_histogram
@@ -204,7 +204,7 @@ def test_criterion_7_oracle_equivalence():
     assert single == pytest.approx(4.0, abs=1e-3)
 
     # Analytic vs quadrature envelope integrals.
-    tail = gaussian_tail_model(1.0, 1.0, 1.0)
+    tail = TailModel(1.0, 1.0, 1.0)
     rho_bar = lemma_clip_envelope(1.0)
     for k in (1.0, 3.0, 6.0):
         phi1, phi2 = tail.rho_bar_integrals(k)
@@ -236,7 +236,7 @@ def test_criterion_8_invariant_suite_representatives():
     # The full invariant suite lives in the per-module test files; this
     # re-asserts the asymptotic-rate surrogates on the bound evaluators.
     # Theorem 2 applies to the plug-in schedule from n ~ 2.2e8 on.
-    tail = gaussian_tail_model(1.0, 1.0, 1.0)
+    tail = TailModel(1.0, 1.0, 1.0)
     n = np.logspace(9, 30, 200)
     plug = bhattacharya_error_bound(*bhattacharya_schedule(n, 0.05, 0.15), tail)
     clip = clipped_error_bound(*clipped_schedule(n, 0.02, 0.2, 0.12), tail)

@@ -24,6 +24,7 @@ from fisherinfo import (
 )
 from fisherinfo import bounds as bounds_mod
 from fisherinfo.bounds import (
+    TailModel,
     _clipped_summed,
     bhattacharya_error_bound,
     bhattacharya_schedule,
@@ -31,11 +32,9 @@ from fisherinfo.bounds import (
     clipped_error_bound,
     clipped_schedule,
     confidence_bound,
-    gaussian_tail_model,
     lemma2_tail,
     modified_error_bound,
     sample_complexity,
-    tail_model_for_channel,
 )
 from fisherinfo.errors import HypothesisViolationError, InfeasibleTargetError
 from fisherinfo.kernels import (
@@ -54,7 +53,7 @@ _SQRT_2PI = math.sqrt(2 * math.pi)
 def unit_tail():
     """Tail model for the Gaussian channel at snr = Var = E[X^2] = alpha = 1,
     so s_var = s_m2 = s_alpha2 = 1."""
-    return gaussian_tail_model(1.0, 1.0, 1.0)
+    return TailModel(1.0, 1.0, 1.0)
 
 
 def _simpson_envelope_integrals(rho_bar, k_n):
@@ -127,10 +126,10 @@ class TestConstants:
 
     def test_moment_validation(self):
         with pytest.raises(ValueError):
-            gaussian_tail_model(2.0, 1.0)
+            TailModel(2.0, 1.0)
         # s_alpha2 is a square: a negative one would shrink the Chernoff tail.
         with pytest.raises(ValueError):
-            gaussian_tail_model(1.0, 1.0, -1.0)
+            TailModel(1.0, 1.0, -1.0)
 
     @pytest.mark.parametrize(
         "args",
@@ -143,22 +142,22 @@ class TestConstants:
     )
     def test_non_finite_parameters_rejected(self, args):
         with pytest.raises(ValueError, match="finite"):
-            gaussian_tail_model(*args)
+            TailModel(*args)
 
 
 class TestLemma1Constants:
     def test_zero_variance_zero_truncation(self):
-        env = gaussian_tail_model(0.0, 1.0)
+        env = TailModel(0.0, 1.0)
         assert env.rho_max(0.0) == 0.0
 
     def test_phi_at_origin_zero_snr(self):
-        env = gaussian_tail_model(0.0, 0.0)
+        env = TailModel(0.0, 0.0)
         assert float(env.phi(0.0)) == pytest.approx(_SQRT_2PI, abs=1e-4)
 
     def test_phi_overflows_to_inf_without_warning(self):
         # Past k^2 + s_m2 ~ 709 sqrt(2 pi) e^x is not a finite double;
         # phi reports inf (pytest turns any RuntimeWarning into an error).
-        env = gaussian_tail_model(1.0, 1.0)
+        env = TailModel(1.0, 1.0)
         phi = env.phi(np.array([2.0, 26.0, 27.0, 1e3]))
         assert phi[0] == _SQRT_2PI * math.exp(5.0)
         assert np.isfinite(phi[1]) and np.all(np.isinf(phi[2:]))
@@ -169,7 +168,7 @@ class TestLemma1Constants:
 
     def test_invalid_moments(self):
         with pytest.raises(ValueError):
-            gaussian_tail_model(2.0, 1.0)
+            TailModel(2.0, 1.0)
 
 
 class TestTruncationTail:
@@ -288,8 +287,8 @@ class TestSignalMoments:
         self, snr, alpha, variance, excess
     ):
         model = _custom_channel(snr, alpha, variance, variance + excess)
-        got = tail_model_for_channel(model)
-        want = gaussian_tail_model(
+        got = TailModel.for_channel(model)
+        want = TailModel(
             snr * model.variance, snr * model.second_moment, alpha**2 * snr
         )
         k = np.array([0.3, 1.0, 2.5, 4.0, 8.0, 30.0])
@@ -358,7 +357,7 @@ class TestPluginErrorBound:
         st.floats(min_value=0, max_value=5e-4),
     )
     def test_monotone_in_errors(self, e0, e1, d0, d1):
-        tail = gaussian_tail_model(1.0, 1.0, 1.0)
+        tail = TailModel(1.0, 1.0, 1.0)
         base = bhattacharya_error_bound(e0, e1, 2.0, tail)
         assert bhattacharya_error_bound(e0 + d0, e1 + d1, 2.0, tail) >= base
 
@@ -368,7 +367,7 @@ class TestPluginErrorBound:
         # channel), measure eps0/eps1 on a fine grid, and check the
         # deterministic bound covers the actual estimation error.
         a, k = 0.99, 1.5
-        tail = gaussian_tail_model(0.0, 0.0, 1e-12)
+        tail = TailModel(0.0, 0.0, 1e-12)
         grid = np.linspace(-k, k, 20_001)
         f = np.exp(-0.5 * grid**2) / _SQRT_2PI
         fp = -grid * f
@@ -407,7 +406,7 @@ class TestLogEnvelopeBound:
         # psi = max(log(sup f + eps0), log(phi/(1 - eps0 phi))), and Gaussian
         # noise caps sup f at 1/sqrt(2 pi): the phi term is always the max,
         # so Theorem 3 needs no sup f.
-        phi = float(gaussian_tail_model(snr * ex2, snr * ex2).phi(k))
+        phi = float(TailModel(snr * ex2, snr * ex2).phi(k))
         eps0 = x0 / phi
         assume(eps0 * phi < 1.0)
         assert math.log(phi / (1.0 - eps0 * phi)) > 0.0 > math.log(
@@ -443,7 +442,7 @@ class TestClippedErrorBound:
         k=st.floats(0.1, 12.0),
     )
     def test_envelope_integrals_match_simpson(self, snr, variance, k):
-        tail = gaussian_tail_model(snr * variance, snr * variance)
+        tail = TailModel(snr * variance, snr * variance)
         got = tail.rho_bar_integrals(k)
         want = _simpson_envelope_integrals(lemma_clip_envelope(snr * variance), k)
         assert got == pytest.approx(want, rel=1e-9)
@@ -456,19 +455,20 @@ class TestClippedErrorBound:
     )
     def test_rho_max_is_the_estimator_envelope(self, snr, variance, k):
         # Theorem 4 integrates the envelope the clipped estimator caps at.
-        tail = gaussian_tail_model(snr * variance, snr * variance)
+        tail = TailModel(snr * variance, snr * variance)
         rho_bar = lemma_clip_envelope(snr * variance)
         assert np.array_equal(tail.rho_max(np.array(k)), rho_bar(np.array(k)))
         assert float(tail.rho_max(k[0])).hex() == float(rho_bar(k[0])).hex()
 
-    def test_non_finite_envelope_rejected(self, unit_tail):
-        import dataclasses
-
-        bad = dataclasses.replace(
-            unit_tail, rho_bar_integrals=lambda k: (np.inf, np.nan)
+    def test_non_finite_envelope_rejected(self, monkeypatch):
+        # The channel's score integrals stay finite, so only the envelope
+        # integrals' check can raise.
+        tail = TailModel.for_channel(gaussian_channel(1.0))
+        monkeypatch.setattr(
+            TailModel, "rho_bar_integrals", lambda self, k: (np.inf, np.nan)
         )
         with pytest.raises(ValueError, match="finite"):
-            clipped_error_bound(1e-3, 1e-3, 2.0, bad)
+            clipped_error_bound(1e-3, 1e-3, 2.0, tail)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -477,7 +477,7 @@ class TestClippedErrorBound:
         st.floats(min_value=0, max_value=0.05),
     )
     def test_monotone_in_eps1(self, e0, e1, d1):
-        tail = gaussian_tail_model(1.0, 1.0, 1.0)
+        tail = TailModel(1.0, 1.0, 1.0)
         assert clipped_error_bound(e0, e1 + d1, 3.0, tail) >= clipped_error_bound(
             e0, e1, 3.0, tail
         )
@@ -491,9 +491,9 @@ class TestClippedErrorBound:
     def test_two_sided_form_dominated_by_summed_form(self, e0, e1, k):
         # The max form on the true-score integrals of a built-in channel
         # never exceeds the summed form on the envelope integrals.
-        tail = gaussian_tail_model(1.0, 1.0, 1.0)
+        tail = TailModel(1.0, 1.0, 1.0)
         sharp = clipped_error_bound(
-            e0, e1, k, tail_model_for_channel(gaussian_channel(1.0))
+            e0, e1, k, TailModel.for_channel(gaussian_channel(1.0))
         )
         blunt = clipped_error_bound(e0, e1, k, tail)
         assert sharp <= blunt + 1e-12
@@ -511,7 +511,7 @@ class TestClippedErrorBound:
         # With the envelope integrals standing in for the score integrals the
         # max form is the summed form, bit for bit.
         s_alpha2 = None if alpha is None else alpha**2 * snr
-        tail = gaussian_tail_model(snr * variance, snr * variance, s_alpha2)
+        tail = TailModel(snr * variance, snr * variance, s_alpha2)
         want = _clipped_summed(e0, e1, *tail.rho_bar_integrals(k), tail.c_tail(k))
         assert clipped_error_bound(e0, e1, k, tail) == want
 
@@ -524,10 +524,10 @@ class TestClippedErrorBound:
     )
     def test_binary_channel_score_integrals_never_loosen(self, snr, e0, e1, k):
         model = binary_channel(snr)
-        envelope = gaussian_tail_model(
+        envelope = TailModel(
             snr * model.variance, snr * model.second_moment, model.alpha**2 * snr
         )
-        sharp = clipped_error_bound(e0, e1, k, tail_model_for_channel(model))
+        sharp = clipped_error_bound(e0, e1, k, TailModel.for_channel(model))
         assert sharp <= clipped_error_bound(e0, e1, k, envelope)
 
     def test_score_integrals_against_adaptive_quadrature(self):
@@ -573,7 +573,7 @@ class TestClippedErrorBound:
         assert phi1.shape == phi2.shape == (len(k),)
         for i, x in enumerate(k):
             assert (phi1[i], phi2[i]) == channel_score_integrals(model, x)
-        tail = tail_model_for_channel(model)
+        tail = TailModel.for_channel(model)
         assert np.array_equal(tail.score_integrals(np.array(k))[1], phi2)
 
 
@@ -634,7 +634,7 @@ class TestPrecisionSchedules:
     def test_plugin_sub_gaussian_variant(self, unit_tail):
         # A sub-Gaussian proxy adds Lemma 2's Chernoff branch to c(k_n); it
         # wins once k_n is large.
-        plain = gaussian_tail_model(1.0, 1.0)
+        plain = TailModel(1.0, 1.0)
         for n in (1e20, 1e100, 1e300):
             point = bhattacharya_schedule(n, 0.05, 0.15)
             sub = bhattacharya_error_bound(*point, unit_tail)
@@ -711,7 +711,7 @@ class TestSchedulesAreErrorBounds:
         s_alpha2=st.sampled_from([None, 1.0]),
     )
     def test_plugin_schedule_is_theorem_2(self, log10_n, w, u_frac, s_alpha2):
-        tail = gaussian_tail_model(1.0, 1.0, s_alpha2)
+        tail = TailModel(1.0, 1.0, s_alpha2)
         u = u_frac * w
         n = 10.0 ** np.array(log10_n)
         eps0, eps1, k = bhattacharya_schedule(n, u, w)
@@ -734,7 +734,7 @@ class TestSchedulesAreErrorBounds:
         s_alpha2=st.sampled_from([None, 1.0]),
     )
     def test_clipped_schedule_is_theorem_4(self, log10_n, w0, w1, u_frac, s_alpha2):
-        tail = gaussian_tail_model(1.0, 1.0, s_alpha2)
+        tail = TailModel(1.0, 1.0, s_alpha2)
         u = u_frac * min(w0 / 3.0, w1 / 2.0)
         n = 10.0 ** np.array(log10_n)
         got = clipped_error_bound(*clipped_schedule(n, u, w0, w1), tail)
@@ -746,7 +746,7 @@ class TestSchedulesAreErrorBounds:
     @settings(max_examples=60, deadline=None)
     @given(log10_n=st.floats(0.5, 20.0), w=st.floats(0.02, 0.16), u_frac=st.floats(0.01, 0.99))
     def test_plugin_raises_exactly_outside_the_hypothesis(self, log10_n, w, u_frac):
-        tail = gaussian_tail_model(1.0, 1.0, 1.0)
+        tail = TailModel(1.0, 1.0, 1.0)
         u = u_frac * w
         eps0, eps1, k = bhattacharya_schedule(10.0**log10_n, u, w)
         if eps0 * float(tail.phi(k)) >= 1.0:
@@ -770,10 +770,10 @@ class TestSchedulesAreErrorBounds:
     def test_corrected_schedule_values(self):
         # The closed forms these replace printed 1.42558 and 25.333.
         assert bhattacharya_error_bound(
-            *bhattacharya_schedule(1e20, 0.05, 0.15), gaussian_tail_model(1.0, 1.0, 1.0)
+            *bhattacharya_schedule(1e20, 0.05, 0.15), TailModel(1.0, 1.0, 1.0)
         ) == pytest.approx(1.39596, abs=1e-5)
         assert clipped_error_bound(
-            *clipped_schedule(1e6, 0.05, 0.2, 0.15), gaussian_tail_model(4.0, 4.0)
+            *clipped_schedule(1e6, 0.05, 0.2, 0.15), TailModel(4.0, 4.0)
         ) == pytest.approx(36.947, abs=1e-3)
 
 
@@ -892,6 +892,11 @@ class TestSampleComplexity:
             sample_complexity(1e-12, 0.2, EstimatorKind.CLIPPED, model)
         assert exc.value.best_precision is not None
         assert exc.value.best_precision > 1e-12
+        # The message says how close the search got.
+        assert str(exc.value).endswith(
+            f"the smallest precision bound on the search grid is "
+            f"{exc.value.best_precision:.6g}"
+        )
 
     def test_deterministic(self):
         model = gaussian_channel(1.0)
@@ -1024,7 +1029,7 @@ class TestSampleComplexity:
         # evaluators and the tail of sup_deviation_tail, so its optimum meets
         # the printed bound and the target confidence with no slack.
         model = factory(1.0)
-        tail = tail_model_for_channel(model)
+        tail = TailModel.for_channel(model)
         for eps, perr, _, _ in self.RECORDED_TABLE:
             r = sample_complexity(eps, perr, EstimatorKind.BHATTACHARYA, model)
             assert bhattacharya_error_bound(r.eps0, r.eps1, r.k_n, tail) <= eps

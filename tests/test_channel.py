@@ -1,6 +1,7 @@
 """Tests for the Gaussian-noise channel sampler and its ground-truth
 oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from fisherinfo import (
     true_mmse,
     true_score,
 )
-from fisherinfo.bounds import gaussian_tail_model
+from fisherinfo.bounds import TailModel
 from fisherinfo.errors import UnsupportedOracleError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -104,6 +105,16 @@ class TestChannelModel:
     def test_custom_requires_sampler(self):
         with pytest.raises(ValueError):
             ChannelModel(InputLaw.CUSTOM, snr=1.0)
+
+    @pytest.mark.parametrize("snr", [math.inf, 1e400, math.nan, -math.inf, -1.0])
+    def test_snr_must_be_finite_and_nonnegative(self, snr):
+        with pytest.raises(ValueError, match="snr must be finite and nonnegative"):
+            gaussian_channel(snr)
+        # An snr_grid point reaches the channel through dataclasses.replace.
+        with pytest.raises(ValueError, match="snr"):
+            dataclasses.replace(binary_channel(1.0), snr=snr)
+        with pytest.raises(ValueError, match="snr"):
+            ChannelModel.from_config_dict({"input": "gaussian", "snr": snr})
 
     def test_config_round_trip(self):
         model = binary_channel(3.0)
@@ -274,9 +285,7 @@ class TestDensities:
         grid = np.linspace(-6, 6, 241)
         for factory in (gaussian_channel, binary_channel):
             model = factory(snr)
-            phi = gaussian_tail_model(
-                snr * model.variance, snr * model.second_moment
-            ).phi
+            phi = TailModel(snr * model.variance, snr * model.second_moment).phi
             assert np.all(1.0 / true_density(model, grid) <= phi(grid) + 1e-9)
 
     @pytest.mark.parametrize("factory", [gaussian_channel, binary_channel])

@@ -1,6 +1,7 @@
 """Tests for the command-line front end (run in-process)."""
 
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -18,10 +19,10 @@ from fisherinfo import (
     sample_channel,
 )
 from fisherinfo.bounds import (
+    TailModel,
     bhattacharya_error_bound,
     clipped_error_bound,
     confidence_bound,
-    gaussian_tail_model,
 )
 from fisherinfo.cli import _print_json, main
 
@@ -444,7 +445,7 @@ class TestBounds:
         assert payload["eps0"] == payload["eps1"] == pytest.approx(1e-3)
         assert payload["eps_n"] == bhattacharya_error_bound(
             payload["eps0"], payload["eps1"], payload["k_n"],
-            gaussian_tail_model(1.0, 1.0, 1.0),
+            TailModel(1.0, 1.0, 1.0),
         )
         assert payload["eps_n"] == pytest.approx(1.39596, abs=1e-5)
         assert 0 <= payload["p_err"] <= 1
@@ -459,7 +460,7 @@ class TestBounds:
         assert payload["eps_n"] == pytest.approx(36.947, abs=1e-3)
         assert payload["eps_n"] == clipped_error_bound(
             payload["eps0"], payload["eps1"], payload["k_n"],
-            gaussian_tail_model(4.0, 4.0),
+            TailModel(4.0, 4.0),
         )
 
     def test_schedule_below_theorem_2_hypothesis_exit_two(self, capsys):
@@ -604,11 +605,12 @@ class TestComplexity:
         assert json.loads(out)["log10_n"] == pytest.approx(15.0, abs=0.5)
 
     def test_infeasible_exit_two(self, capsys):
-        code, _, _ = run_cli(
+        code, _, err = run_cli(
             capsys, "complexity", "--eps", "1e-12", "--perr", "0.2",
             "--estimator", "clipped", "--channel", "gaussian", "--snr", "1",
         )
         assert code == 2
+        assert "smallest precision bound on the search grid is" in err
 
 
 class TestExperiment:
@@ -662,6 +664,68 @@ class TestExperiment:
         path.write_text(json.dumps({"kind": "histogram"}))
         code, _, _ = run_cli(capsys, "experiment", "--config", str(path))
         assert code == 1
+
+
+class TestNonFiniteSnr:
+    BANDS = ("--a0", "0.3", "--a1", "0.3", "--kn", "6")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("estimate", "--channel", "gaussian", "--snr", "inf", "--n", "100",
+             "--estimator", "bhattacharya") + BANDS,
+            ("density", "--channel", "gaussian", "--snr", "1e400", "--n", "100",
+             "--a", "0.3"),
+            ("complexity", "--eps", "0.5", "--perr", "0.2", "--estimator",
+             "clipped", "--channel", "gaussian", "--snr", "inf"),
+        ],
+    )
+    def test_cli_snr_rejected_by_name(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: snr must be finite") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # The snr of a file estimate reaches only the MMSE transform,
+            (("--estimator", "bhattacharya"), "snr must be positive and finite"),
+            # and Lemma 1's envelope, as snr Var X.
+            (("--estimator", "clipped", "--rho-bar", "lemma1", "--var", "1"),
+             "s_var = snr Var X must be finite"),
+        ],
+    )
+    def test_file_estimate_snr_rejected_by_name(self, capsys, tmp_path, argv,
+                                                message):
+        path = tmp_path / "vals.txt"
+        SampleSet(np.linspace(-1, 1, 50)).to_file(path)
+        code, out, err = run_cli(
+            capsys, "estimate", "--input", str(path), "--snr", "inf", *argv,
+            *self.BANDS,
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"kind": "histogram", "channel": {"input": "gaussian", "snr": math.inf},
+             "n_list": [200]},
+            {"kind": "snr_sweep", "channel": {"input": "binary", "snr": 1.0},
+             "n_list": [200], "snr_grid": [1.0, math.inf]},
+        ],
+    )
+    def test_config_snr_rejected_by_name(self, capsys, tmp_path, config):
+        path = tmp_path / "bad.json"
+        # json writes Infinity, which json.load reads back.
+        path.write_text(json.dumps({**config, "output_path": str(tmp_path / "x")}))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: snr must be finite") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
 
 class TestStrictJson:

@@ -181,6 +181,11 @@ class TestClipped:
             estimate(SampleSet([0.0]), config,
                      lambda t: np.full_like(np.asarray(t, float), np.inf))
 
+    @pytest.mark.parametrize("s_var", [-1.0, math.inf, math.nan])
+    def test_lemma_envelope_needs_finite_signal_variance(self, s_var):
+        with pytest.raises(ValueError, match="snr Var X must be finite"):
+            lemma_clip_envelope(s_var)
+
     @settings(max_examples=25, deadline=None)
     @given(finite_samples, st.floats(min_value=0.3, max_value=2))
     def test_nonnegative(self, values, a):
@@ -202,6 +207,11 @@ class TestMmse:
     def test_invalid_snr(self):
         with pytest.raises(ValueError):
             mmse_from_fisher(0.5, 0.0)
+
+    @pytest.mark.parametrize("snr", [-1.0, math.inf, math.nan])
+    def test_snr_must_be_positive_and_finite(self, snr):
+        with pytest.raises(ValueError, match="snr must be positive and finite"):
+            mmse_from_fisher(0.5, snr)
 
     @settings(max_examples=50, deadline=None)
     @given(

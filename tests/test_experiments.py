@@ -15,10 +15,12 @@ from hypothesis.extra.numpy import arrays
 import fisherinfo
 import fisherinfo.experiments as experiments
 from fisherinfo import (
+    ChannelModel,
     EstimatorConfig,
     EstimatorKind,
     ExperimentConfig,
     ExperimentKind,
+    InputLaw,
     gaussian_channel,
     sample_channel,
     true_fisher,
@@ -90,6 +92,13 @@ class TestConfig:
         # numpy would refuse it only at sampling time, without naming the field.
         with pytest.raises(ValueError, match="seed must be >= 0"):
             _config(seed=-1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -1.0])
+    def test_snr_grid_entry_rejected_before_any_work(self, bad, monkeypatch):
+        # Each snr_grid point is a ChannelModel snr, checked at construction.
+        monkeypatch.setattr(experiments, "sample_channel", None)
+        with pytest.raises(ValueError, match="snr must be finite and nonnegative"):
+            _config(kind=ExperimentKind.SNR_SWEEP, snr_grid=(1.0, bad))
 
     def test_estimator_config_grid_points_from_json_rejected(self):
         with pytest.raises(ValueError, match="grid_points must be an integer"):
@@ -282,6 +291,15 @@ class TestHistogram:
         )
         for hist in report.summary["histograms"].values():
             assert sum(hist["counts"]) == 20
+
+    def test_clipped_custom_channel_needs_no_alpha(self):
+        # The clipped cap reads only snr * Var X, so a CUSTOM input with no
+        # known sub-Gaussian proxy still runs clipped trials.
+        channel = ChannelModel(InputLaw.CUSTOM, snr=1.0, alpha=math.inf,
+                               sampler=lambda rng, n: rng.standard_normal(n))
+        report = run_histogram(_config(channel=channel, trials=2,
+                                       estimator=EstimatorKind.CLIPPED))
+        assert np.all(np.isfinite(report.per_trial_estimates["n200"]))
 
     def test_single_trial_degenerate(self):
         report = run_histogram(_config(trials=1))

@@ -207,7 +207,8 @@ class TestBinnedSums:
         s, h_b, m = _lattice(a, h)
         assert s == math.ceil(4 * h / a)
         assert h_b <= a / 4 * (1 + 4 * _EPS) and m * h_b >= 13 * a * (1 - 4 * _EPS)
-        binned = _binned_sums(values, a, grid[0], h, size, want_deriv=True)
+        binned = _binned_sums(values, a, grid[0], (s, h_b, m), size,
+                              want_deriv=True)
         exact = _kernel_sums(values, a, grid, want_deriv=True)
         for r in (0, 1):
             err = np.max(np.abs(binned[r] - exact[r]))
