@@ -38,11 +38,10 @@ from .estimators import (
     EstimateResult,
     EstimatorConfig,
     EstimatorKind,
-    constant_clip_envelope,
+    ScoreEnvelope,
     default_bandwidth,
     default_truncation,
     estimate,
-    lemma_clip_envelope,
     mmse_from_fisher,
 )
 from .experiments import (

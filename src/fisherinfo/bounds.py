@@ -8,9 +8,9 @@ Gaussian-noise data:
   on the density and its derivative over [-k_n, k_n] (Theorems 2-4), all
   reading the sampled density through one TailModel;
 * TailModel, a value of three moments of the signal S = sqrt(snr) X and an
-  optional built-in channel, whose methods give the inverse-density
-  envelope phi, the score envelope rho_max and its integrals, the score
-  integrals and the tail mass c(k_n);
+  optional built-in channel, which gives the inverse-density envelope phi,
+  Lemma 1's score envelope (the estimators.ScoreEnvelope the clipped
+  estimator caps at), the score integrals and the tail mass c(k_n);
 * the precision/confidence schedules (Theorems 5 and 6): Theorems 2 and 4
   at a = n^-w, k_n = sqrt(u log n) (plug-in) and a_r = n^-w_r, k_n = n^u
   (clipped);
@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import ChannelModel, InputLaw, true_score
 from .errors import HypothesisViolationError, InfeasibleTargetError
-from .estimators import EstimatorKind, lemma_clip_envelope
+from .estimators import EstimatorKind, ScoreEnvelope
 from .kernels import LOG10_N_MAX, certified_log10_n, sup_deviation_tail
 from .quadrature import integrate
 
@@ -101,11 +101,11 @@ def _golden_minimum(objective, grid, values, iters):
 def lemma2_tail(k_n, s_m2: float, s_alpha2: float | None = None):
     """Upper bound on the Fisher-information mass outside [-k_n, k_n].
 
-    Minimizes over the Holder exponent v > 0. Always evaluates the
-    second-moment branch on s_m2 = E[S^2]; given s_alpha2, the squared
-    sub-Gaussian proxy of |S|, also evaluates the Chernoff branch and
-    returns the smaller (TailModel.c_tail). The result may exceed 1 and is
-    returned as-is.
+    Minimizes prefactor(v) e^(v/(1+v) log_base) over the Holder exponent v,
+    with log_base = log((s_m2 + 1)/k^2), s_m2 = E[S^2], or where smaller,
+    given s_alpha2 (squared sub-Gaussian proxy of |S|), the Chernoff base
+    log 2 + (s_alpha2 - k^2)/2: both factors are positive, so at every v the
+    smaller base gives the smaller bound. The result may exceed 1.
 
     Accepts scalar or array k_n.
     """
@@ -115,16 +115,14 @@ def lemma2_tail(k_n, s_m2: float, s_alpha2: float | None = None):
     k_sq = k.ravel() ** 2
     log_base = np.log((s_m2 + 1.0) / k_sq)
     if s_alpha2 is not None:
-        sub_g = math.log(2.0) + (s_alpha2 - k_sq) / 2.0
-        log_base = np.concatenate([log_base, sub_g])
+        log_base = np.minimum(log_base, math.log(2.0) + (s_alpha2 - k_sq) / 2.0)
 
     def objective(v):
         return _lemma2_objective(v, _gamma(v + 0.5), log_base)
 
     scan = _lemma2_objective(_V_GRID, _gamma(_V_GRID + 0.5), log_base[:, None])
     _, tail = _golden_minimum(objective, _V_GRID, scan, 60)
-    # One row per branch; the bound is the smaller of the two.
-    return _as_output(tail.reshape(-1, *k.shape).min(axis=0))
+    return _as_output(tail.reshape(k.shape))
 
 
 @dataclass(frozen=True)
@@ -136,14 +134,13 @@ class TailModel:
     score; for_channel builds both from a channel.
 
     phi(t) = sqrt(2 pi) exp(t^2 + s_m2) bounds 1/f on [-t, t] (Lemma 1; inf
-    where it overflows). rho_max is Lemma 1's score envelope rho_bar =
-    lemma_clip_envelope(s_var), the one the clipped estimator caps at; it
-    grows in |t|, so it bounds sup_{|t|<=k} |f'/f| too. rho_bar_integrals(k)
-    is (int |rho_bar|, int rho_bar^2) over [-k, k], exact polynomials in k
-    and c = rho_bar(0); score_integrals(k) is the same pair for the true
-    score, or for rho_bar where the score is unknown. c_tail(k) is Lemma 2's
-    bound on the Fisher-information mass outside [-k, k]. Each method
-    accepts scalar or array k.
+    where it overflows). envelope is Lemma 1's ScoreEnvelope.lemma1(s_var),
+    the rho_bar the clipped estimator caps at. It grows in |t|, so
+    envelope(k) bounds sup_{|t|<=k} |f'/f| (Theorem 2's rho_max);
+    envelope.integrals(k) is Theorem 4's (Phi1_max, Phi2_max), and
+    score_integrals(k) the same pair for the true score, or the envelope's
+    where the score is unknown. c_tail(k) is Lemma 2's bound on the
+    Fisher-information mass outside [-k, k]. Each accepts scalar or array k.
     """
 
     s_var: float
@@ -176,19 +173,13 @@ class TailModel:
             x <= _PHI_EXP_MAX, _SQRT_2PI * np.exp(np.minimum(x, _PHI_EXP_MAX)), np.inf
         )
 
-    def rho_max(self, k):
-        return lemma_clip_envelope(self.s_var)(k)
-
-    def rho_bar_integrals(self, k):
-        c = float(self.rho_max(0.0))
-        return (
-            2.0 * c * k + 3.0 * k**2,
-            2.0 * c**2 * k + 6.0 * c * k**2 + 6.0 * k**3,
-        )
+    @property
+    def envelope(self) -> ScoreEnvelope:
+        return ScoreEnvelope.lemma1(self.s_var)
 
     def score_integrals(self, k):
         if self.channel is None:
-            return self.rho_bar_integrals(k)
+            return self.envelope.integrals(k)
         return channel_score_integrals(self.channel, k)
 
     def c_tail(self, k):
@@ -238,7 +229,7 @@ def bhattacharya_error_bound(eps0, eps1, k_n, tail: TailModel):
     _check_inputs(eps0, eps1, k_n)
     phi_k = _check_phi_hypothesis(eps0, k_n, tail)
     return _as_output(
-        _plugin_error(eps0 * phi_k, eps1, k_n, phi_k, tail.rho_max(k_n))
+        _plugin_error(eps0 * phi_k, eps1, k_n, phi_k, tail.envelope(k_n))
         + tail.c_tail(k_n)
     )
 
@@ -265,7 +256,7 @@ def modified_error_bound(
         raise ValueError("zero counts d_f and d_fn must be nonnegative")
     phi_k = float(_check_phi_hypothesis(eps0, k_n, tail))
     psi = math.log(phi_k / (1.0 - eps0 * phi_k))
-    rho_m = float(tail.rho_max(k_n))
+    rho_m = float(tail.envelope(k_n))
     lead = eps1 * (4.0 + d_f + d_fn) + eps0 * (2.0 + d_fn) * rho_m
     return lead * psi + float(tail.c_tail(k_n))
 
@@ -303,12 +294,12 @@ def clipped_error_bound(eps0, eps1, k_n, tail: TailModel):
     max(4 eps1 Phi1 + 2 eps0 Phi2 + c(k), 3 eps1 Phi1_max + eps0 Phi2_max),
 
     with Phi_r the tail's score_integrals and Phi_r_max its
-    rho_bar_integrals over [-k_n, k_n]. On an envelope-only tail this is the
+    envelope.integrals over [-k_n, k_n]. On an envelope-only tail this is the
     summed form on the envelope integrals. Accepts scalars or arrays that
     broadcast together.
     """
     _check_inputs(eps0, eps1, k_n)
-    phi1_max, phi2_max = _finite_integrals(tail.rho_bar_integrals, k_n)
+    phi1_max, phi2_max = _finite_integrals(tail.envelope.integrals, k_n)
     phi1, phi2 = _finite_integrals(tail.score_integrals, k_n)
     return _as_output(
         _clipped_two_sided(
@@ -461,9 +452,9 @@ def _best_per_k(estimator, tail, k, target_eps, target_perr):
         # such k infeasible before the eps1^2 k phi term overflows.
         phi = tail.phi(k)
         phi = np.where(phi < sys.float_info.max / (4.0 * k), phi, np.nan)
-        consts = (k, phi, tail.rho_max(k), c)
+        consts = (k, phi, tail.envelope(k), c)
     else:
-        consts = (*tail.rho_bar_integrals(k), *tail.score_integrals(k), c)
+        consts = (*tail.envelope.integrals(k), *tail.score_integrals(k), c)
     grid = _LOG_E1_GRID[estimator]
     scan = _certify(
         estimator, [v[:, None] for v in consts], np.exp(grid), target_eps, target_perr

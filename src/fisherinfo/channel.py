@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import UnsupportedOracleError
+from .quadrature import _check_real
 from .samples import SampleSet
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -43,6 +44,7 @@ class ChannelModel:
     sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None
 
     def __post_init__(self):
+        _check_real("snr", self.snr)
         if not 0 <= self.snr < math.inf:
             raise ValueError(f"snr must be finite and nonnegative, got {self.snr}")
         if self.variance < 0 or self.second_moment < self.variance:
@@ -68,7 +70,7 @@ class ChannelModel:
         law = InputLaw(d["input"])
         if law is InputLaw.CUSTOM:
             raise ValueError("CUSTOM channels cannot be built from a config file")
-        return cls(input=law, snr=float(d["snr"]))
+        return cls(input=law, snr=_check_real("snr", d["snr"]))
 
 
 def gaussian_channel(snr: float) -> ChannelModel:

@@ -25,9 +25,8 @@ from .estimators import (
     DEFAULT_GRID_POINTS,
     EstimatorConfig,
     EstimatorKind,
-    constant_clip_envelope,
+    ScoreEnvelope,
     estimate,
-    lemma_clip_envelope,
     mmse_from_fisher,
 )
 from .experiments import DataSeries, ExperimentConfig, run_experiment
@@ -124,14 +123,14 @@ def _load_samples(args) -> tuple[SampleSet, ChannelModel | None]:
     return sample_channel(model, args.n, args.seed or 0), model
 
 
-def _resolve_envelope(args, model: ChannelModel | None):
+def _resolve_envelope(args, model: ChannelModel | None) -> ScoreEnvelope:
     spec = args.rho_bar
     if spec in (None, "lemma1"):  # _check_modes: None only with a channel
         if model is not None:
-            return lemma_clip_envelope(model.snr * model.variance)
-        return lemma_clip_envelope(args.snr * args.var)
+            return ScoreEnvelope.lemma1(model.snr * model.variance)
+        return ScoreEnvelope.lemma1(args.snr * args.var)
     if spec.startswith("const:"):
-        return constant_clip_envelope(float(spec.split(":", 1)[1]))
+        return ScoreEnvelope(float(spec.split(":", 1)[1]))
     raise ValueError(f"unknown --rho-bar spec {spec!r}; use lemma1 or const:<v>")
 
 
@@ -208,7 +207,7 @@ def cmd_bounds(args) -> int:
     # phi(k_n) overflows past k_n^2 + s_m2 ~ 709: JSON null.
     phi_kn = float(tail.phi(k_n))
     payload["phi_kn"] = phi_kn if np.isfinite(phi_kn) else None
-    payload["rho_max_kn"] = float(tail.rho_max(k_n))
+    payload["rho_max_kn"] = float(tail.envelope(k_n))
     payload["c_kn"] = float(tail.c_tail(k_n))
     _print_json(payload)
     return EXIT_OK

@@ -2,10 +2,10 @@
 
 Both estimators integrate min(|rho_n|, |rho_bar|) * |f_n'| over a
 truncated interval [-k_n, k_n], where rho_n = f_n'/f_n is the estimated
-score. The clipped estimator caps it by a known envelope rho_bar, which
-trades a tail assumption on 1/f for a score bound and has far better
-finite-sample guarantees; the plug-in estimator is the same integral with
-no cap, (f_n')^2 / f_n.
+score. The clipped estimator caps it by a known ScoreEnvelope rho_bar, the
+same value Theorems 2-4 read, which trades a tail assumption on 1/f for a
+score bound and has far better finite-sample guarantees; the plug-in
+estimator is the same integral with no cap, (f_n')^2 / f_n.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .kernels import kde_profile
-from .quadrature import _check_grid_points, integrate_values, simpson_nodes
+from .quadrature import _check_grid_points, _check_real, integrate_values, simpson_nodes
 from .samples import SampleSet
 
 #: Guard against division by a numerically-zero density at extreme grid
@@ -44,6 +44,7 @@ class EstimatorConfig:
 
     def __post_init__(self):
         for name in ("a0", "a1", "k_n"):
+            _check_real(name, getattr(self, name))
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         _check_grid_points(self.grid_points)
@@ -70,27 +71,39 @@ def default_truncation(n: int) -> float:
     return math.log(n)
 
 
-def lemma_clip_envelope(s_var: float):
-    """Lemma 1's score envelope sqrt(3 s_var) + 3|t| for Gaussian-noise data,
-    with s_var = snr Var X the variance of the signal: the clipped estimator's
-    cap, and bounds.TailModel.rho_max, the envelope Theorem 4 integrates.
-    """
-    if not 0 <= s_var < math.inf:
-        raise ValueError(
-            f"s_var = snr Var X must be finite and nonnegative, got {s_var}"
-        )
-    c = math.sqrt(3.0 * s_var)
-    return lambda t: c + 3.0 * np.abs(t)
+@dataclass(frozen=True)
+class ScoreEnvelope:
+    """rho_bar(t) = level + slope |t|, called: the clipped estimator's cap. Its
+    exact (int rho_bar, int rho_bar^2) over [-k, k] is integrals(k), and Lemma
+    1's sqrt(3 s_var) + 3|t|, s_var = snr Var X, is lemma1(s_var)."""
 
+    level: float
+    slope: float = 0.0
 
-def constant_clip_envelope(level: float):
-    if not level >= 0:
-        raise ValueError("envelope level must be nonnegative")
-    return lambda t: np.full_like(np.asarray(t, dtype=float), level)
+    def __post_init__(self):
+        for name, value in (("level", self.level), ("slope", self.slope)):
+            if not 0 <= value < math.inf:
+                raise ValueError(f"envelope {name} must be in [0, inf), got {value}")
+
+    @classmethod
+    def lemma1(cls, s_var: float) -> "ScoreEnvelope":
+        if not 0 <= s_var < math.inf:
+            raise ValueError(
+                f"s_var = snr Var X must be finite and nonnegative, got {s_var}"
+            )
+        return cls(math.sqrt(3.0 * s_var), 3.0)
+
+    def __call__(self, t):
+        return self.level + self.slope * np.abs(t)
+
+    def integrals(self, k):
+        c, s = self.level, self.slope
+        return (2.0 * c * k + s * k**2,
+                2.0 * c**2 * k + 2.0 * c * s * k**2 + 2.0 * s * s / 3.0 * k**3)
 
 
 def estimate(samples: SampleSet, config: EstimatorConfig,
-             rho_bar=None) -> EstimateResult:
+             rho_bar: ScoreEnvelope | None = None) -> EstimateResult:
     """Integral of min(|rho_n|, |rho_bar|) * |f_n'| over [-k_n, k_n], with
     rho_n = f_n'/max(f_n, floor): the clipped estimate when a score envelope
     rho_bar is given, the plug-in estimate (no cap) otherwise.
@@ -103,9 +116,7 @@ def estimate(samples: SampleSet, config: EstimatorConfig,
     kind, clip_frac = EstimatorKind.BHATTACHARYA, 0.0
     if rho_bar is not None:
         kind = EstimatorKind.CLIPPED
-        cap = np.abs(np.asarray(rho_bar(grid), dtype=float))
-        if not np.all(np.isfinite(cap)):
-            raise ValueError("rho_bar must be finite on [-k_n, k_n]")
+        cap = rho_bar(grid)
         clip_frac = float(np.mean(rho > cap))
         rho = np.minimum(rho, cap)
     return EstimateResult(

@@ -44,10 +44,10 @@ from .errors import InfeasibleTargetError, UnsupportedOracleError
 from .estimators import (
     EstimatorConfig,
     EstimatorKind,
+    ScoreEnvelope,
     default_bandwidth,
     default_truncation,
     estimate,
-    lemma_clip_envelope,
     mmse_from_fisher,
 )
 from .quadrature import _check_integer
@@ -123,7 +123,9 @@ class ExperimentConfig:
                 raise ValueError(
                     "SNR_SWEEP needs a nonempty snr_grid and one sample size")
             for snr in self.snr_grid:  # ChannelModel checks each point
-                dataclasses.replace(self.channel, snr=float(snr))
+                dataclasses.replace(self.channel, snr=snr)
+                if snr == 0:  # the sweep's MMSE columns divide by snr
+                    raise ValueError(f"snr_grid entries must be positive, got {snr}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -132,13 +134,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment config keys: {sorted(unknown)}")
         if "kind" not in d or "channel" not in d:
             raise ValueError("experiment config requires 'kind' and 'channel'")
+        if not isinstance(d["channel"], dict):
+            raise ValueError(f"channel must be a JSON object, got {d['channel']!r}")
         kwargs = dict(d)
         kwargs["kind"] = ExperimentKind(d["kind"])
         kwargs["channel"] = ChannelModel.from_config_dict(d["channel"])
         if "estimator" in d:
             kwargs["estimator"] = EstimatorKind(d["estimator"])
         if d.get("estimator_config") is not None:
-            ec = dict(d["estimator_config"])
+            ec = d["estimator_config"]
+            if not isinstance(ec, dict):
+                raise ValueError(f"estimator_config must be a JSON object, got {ec!r}")
             known = {f.name for f in dataclasses.fields(EstimatorConfig)}
             bad = set(ec) - known
             if bad:
@@ -301,7 +307,7 @@ def run_snr_sweep(config: ExperimentConfig) -> ExperimentReport:
         channel = dataclasses.replace(config.channel, snr=float(snr))
         samples = sample_channel(channel, n, trial_seed(config.seed, i))
         fisher_plug = estimate(samples, base).value
-        rho_bar = lemma_clip_envelope(channel.snr * channel.variance)
+        rho_bar = ScoreEnvelope.lemma1(channel.snr * channel.variance)
         fisher_clip = estimate(samples, base, rho_bar).value
         try:
             t_fisher = true_fisher(channel)
@@ -363,7 +369,7 @@ def _run_trials(config: ExperimentConfig, n: int, seed_offset: int) -> np.ndarra
     """Per-trial estimates for one sample size, in trial order."""
     est_config = _default_config(config, n)
     channel = config.channel
-    rho_bar = (lemma_clip_envelope(channel.snr * channel.variance)
+    rho_bar = (ScoreEnvelope.lemma1(channel.snr * channel.variance)
                if config.estimator is EstimatorKind.CLIPPED else None)
 
     def one(trial: int) -> float:

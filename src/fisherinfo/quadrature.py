@@ -8,6 +8,8 @@ lie on a new last axis.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import QuadratureError
@@ -17,6 +19,13 @@ def _check_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_real(name: str, value) -> float:
+    # A JSON string, null or bool is not a number, even where float() reads it.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _check_grid_points(grid_points: int) -> int:

@@ -18,11 +18,11 @@ from fisherinfo import (
     ExperimentConfig,
     ExperimentKind,
     SampleSet,
+    ScoreEnvelope,
     binary_channel,
     estimate,
     gaussian_channel,
     kde_profile,
-    lemma_clip_envelope,
     sample_channel,
     true_density,
     true_density_deriv,
@@ -133,7 +133,7 @@ def test_criterion_4_clipping_equivalence():
         channel = gaussian_channel(float(snr))
         samples = sample_channel(channel, 10_000, seed=500 + snr)
         plug = estimate(samples, base).value
-        clip = estimate(samples, base, lemma_clip_envelope(float(snr))).value
+        clip = estimate(samples, base, ScoreEnvelope.lemma1(float(snr))).value
         worst = max(worst, abs(plug - clip))
     assert worst < 1e-6
     _ok(
@@ -205,9 +205,9 @@ def test_criterion_7_oracle_equivalence():
 
     # Analytic vs quadrature envelope integrals.
     tail = TailModel(1.0, 1.0, 1.0)
-    rho_bar = lemma_clip_envelope(1.0)
+    rho_bar = ScoreEnvelope.lemma1(1.0)
     for k in (1.0, 3.0, 6.0):
-        phi1, phi2 = tail.rho_bar_integrals(k)
+        phi1, phi2 = tail.envelope.integrals(k)
         assert phi1 == pytest.approx(
             integrate(lambda t: np.abs(rho_bar(t)), -k, k, 2001), abs=1e-8
         )

@@ -16,16 +16,20 @@ from fisherinfo import (
     EstimatorKind,
     InputLaw,
     SampleSet,
+    ScoreEnvelope,
     binary_channel,
     estimate,
     gaussian_channel,
-    lemma_clip_envelope,
     true_score,
 )
 from fisherinfo import bounds as bounds_mod
 from fisherinfo.bounds import (
+    _V_GRID,
     TailModel,
     _clipped_summed,
+    _golden_minimum,
+    _gamma,
+    _lemma2_objective,
     bhattacharya_error_bound,
     bhattacharya_schedule,
     channel_score_integrals,
@@ -58,7 +62,7 @@ def unit_tail():
 
 def _simpson_envelope_integrals(rho_bar, k_n):
     """(int |rho_bar|, int rho_bar^2) over [-k_n, k_n] by Simpson's rule:
-    the oracle for TailModel.rho_bar_integrals."""
+    the oracle for ScoreEnvelope.integrals."""
     phi1 = integrate(lambda t: np.abs(rho_bar(t)), -k_n, k_n, 2001)
     phi2 = integrate(lambda t: rho_bar(t) ** 2, -k_n, k_n, 2001)
     return phi1, phi2
@@ -105,6 +109,27 @@ def _scalar_lemma2_tail(k_n, snr, second_moment, alpha=None):
     return best
 
 
+def _two_branch_lemma2_tail(k_n, s_m2, s_alpha2=None):
+    """The two-search form of lemma2_tail: one Holder search per branch on
+    stacked rows, then the smaller result. The oracle for the one search on
+    the smaller log base; its Chernoff row may overflow to inf."""
+    k = np.asarray(k_n, dtype=float)
+    k_sq = k.ravel() ** 2
+    log_base = np.log((s_m2 + 1.0) / k_sq)
+    if s_alpha2 is not None:
+        sub_g = math.log(2.0) + (s_alpha2 - k_sq) / 2.0
+        log_base = np.concatenate([log_base, sub_g])
+
+    def objective(v):
+        return _lemma2_objective(v, _gamma(v + 0.5), log_base)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        scan = _lemma2_objective(_V_GRID, _gamma(_V_GRID + 0.5), log_base[:, None])
+        _, tail = _golden_minimum(objective, _V_GRID, scan, 60)
+    out = tail.reshape(-1, *k.shape).min(axis=0)
+    return float(out) if out.ndim == 0 else out
+
+
 def _certified_tails(res):
     """Sum of the sup-deviation tails of f_n and f_n' at a certified point."""
     n = 10.0**res.log10_n
@@ -148,7 +173,7 @@ class TestConstants:
 class TestLemma1Constants:
     def test_zero_variance_zero_truncation(self):
         env = TailModel(0.0, 1.0)
-        assert env.rho_max(0.0) == 0.0
+        assert env.envelope(0.0) == 0.0
 
     def test_phi_at_origin_zero_snr(self):
         env = TailModel(0.0, 0.0)
@@ -217,6 +242,47 @@ class TestTruncationTail:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             lemma2_tail(0.0, 1.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.lists(st.floats(0.01, 40.0), min_size=1, max_size=40),
+        s_m2=st.floats(0.0, 50.0),
+        s_alpha2=st.one_of(st.none(), st.floats(0.0, 3000.0)),
+    )
+    def test_one_search_matches_two_branch_oracle(self, k, s_m2, s_alpha2):
+        # The objective grows with the log base at every v, so searching the
+        # smaller base alone gives the smaller of the two branch minima.
+        got = lemma2_tail(np.array(k), s_m2, s_alpha2)
+        want = _two_branch_lemma2_tail(np.array(k), s_m2, s_alpha2)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_search_bit_identical_to_two_branch_oracle(self, monkeypatch):
+        # Every k the sample-complexity search asks about, bit for bit.
+        calls = []
+
+        def checked(k_n, s_m2, s_alpha2=None):
+            got = lemma2_tail(k_n, s_m2, s_alpha2)
+            want = _two_branch_lemma2_tail(k_n, s_m2, s_alpha2)
+            calls.append(np.array_equal(got, want))
+            return got
+
+        monkeypatch.setattr(bounds_mod, "lemma2_tail", checked)
+        for model in (gaussian_channel(1.0), binary_channel(1.0), binary_channel(4.0)):
+            for estimator in EstimatorKind:
+                sample_complexity(0.5, 0.2, estimator, model)
+        assert len(calls) == 24 and all(calls)
+
+    def test_large_chernoff_proxy_without_overflow(self):
+        # The Chernoff base passes exp's range at s_alpha2 ~ 1700; the
+        # second-moment base is the smaller there and is the only one searched.
+        k = np.linspace(0.8, 8.0, 60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = lemma2_tail(k, 1.0, 1800.0)
+            with pytest.raises(InfeasibleTargetError):
+                sample_complexity(0.5, 0.2, EstimatorKind.CLIPPED,
+                                  gaussian_channel(2000.0))
+        assert np.array_equal(got, lemma2_tail(k, 1.0))
 
     @pytest.mark.parametrize("alpha", [None, 1.0])
     def test_array_matches_scalar_oracle(self, alpha):
@@ -292,9 +358,9 @@ class TestSignalMoments:
             snr * model.variance, snr * model.second_moment, alpha**2 * snr
         )
         k = np.array([0.3, 1.0, 2.5, 4.0, 8.0, 30.0])
-        for name in ("phi", "rho_max", "c_tail"):
+        for name in ("phi", "c_tail"):
             assert np.array_equal(getattr(got, name)(k), getattr(want, name)(k)), name
-        assert np.array_equal(got.rho_bar_integrals(k), want.rho_bar_integrals(k))
+        assert got.envelope == want.envelope
         # The array form, on the products, against the X-scale oracle.
         assert got.c_tail(2.5) == pytest.approx(
             _scalar_lemma2_tail(2.5, snr, model.second_moment, alpha),
@@ -428,44 +494,41 @@ class TestClippedErrorBound:
         )
 
     def test_envelope_integrals_match_closed_forms(self, unit_tail):
-        rho_bar = lemma_clip_envelope(1.0)
+        rho_bar = ScoreEnvelope.lemma1(1.0)
         for k in (1.0, 2.5, 5.0):
-            phi1, phi2 = unit_tail.rho_bar_integrals(k)
+            phi1, phi2 = unit_tail.envelope.integrals(k)
             want1, want2 = _simpson_envelope_integrals(rho_bar, k)
             assert phi1 == pytest.approx(want1, abs=1e-8)
             assert phi2 == pytest.approx(want2, abs=1e-8)
 
     @settings(max_examples=60, deadline=None)
     @given(
-        snr=st.floats(0.0, 10.0),
-        variance=st.floats(0.0, 4.0),
+        level=st.floats(0.0, 20.0),
+        slope=st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
         k=st.floats(0.1, 12.0),
     )
-    def test_envelope_integrals_match_simpson(self, snr, variance, k):
-        tail = TailModel(snr * variance, snr * variance)
-        got = tail.rho_bar_integrals(k)
-        want = _simpson_envelope_integrals(lemma_clip_envelope(snr * variance), k)
-        assert got == pytest.approx(want, rel=1e-9)
+    def test_envelope_integrals_match_simpson(self, level, slope, k):
+        # Simpson is exact on each side of the kink at 0, a panel edge.
+        envelope = ScoreEnvelope(level, slope)
+        got = envelope.integrals(k)
+        want = _simpson_envelope_integrals(envelope, k)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-300)
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        snr=st.floats(0.0, 1e3),
-        variance=st.floats(0.0, 1e3),
-        k=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=5),
-    )
-    def test_rho_max_is_the_estimator_envelope(self, snr, variance, k):
-        # Theorem 4 integrates the envelope the clipped estimator caps at.
-        tail = TailModel(snr * variance, snr * variance)
-        rho_bar = lemma_clip_envelope(snr * variance)
-        assert np.array_equal(tail.rho_max(np.array(k)), rho_bar(np.array(k)))
-        assert float(tail.rho_max(k[0])).hex() == float(rho_bar(k[0])).hex()
+    @given(**_CUSTOM_MOMENTS)
+    def test_rho_max_is_the_estimator_envelope(self, snr, alpha, variance, excess):
+        # Theorems 2 and 4 read the very envelope the clipped estimator caps
+        # at, ScoreEnvelope.lemma1(snr Var X): one value, not two formulas.
+        model = _custom_channel(snr, alpha, variance, variance + excess)
+        envelope = ScoreEnvelope.lemma1(snr * variance)
+        assert TailModel.for_channel(model).envelope == envelope
 
     def test_non_finite_envelope_rejected(self, monkeypatch):
         # The channel's score integrals stay finite, so only the envelope
         # integrals' check can raise.
         tail = TailModel.for_channel(gaussian_channel(1.0))
         monkeypatch.setattr(
-            TailModel, "rho_bar_integrals", lambda self, k: (np.inf, np.nan)
+            ScoreEnvelope, "integrals", lambda self, k: (np.inf, np.nan)
         )
         with pytest.raises(ValueError, match="finite"):
             clipped_error_bound(1e-3, 1e-3, 2.0, tail)
@@ -512,7 +575,7 @@ class TestClippedErrorBound:
         # max form is the summed form, bit for bit.
         s_alpha2 = None if alpha is None else alpha**2 * snr
         tail = TailModel(snr * variance, snr * variance, s_alpha2)
-        want = _clipped_summed(e0, e1, *tail.rho_bar_integrals(k), tail.c_tail(k))
+        want = _clipped_summed(e0, e1, *tail.envelope.integrals(k), tail.c_tail(k))
         assert clipped_error_bound(e0, e1, k, tail) == want
 
     @settings(max_examples=20, deadline=None)

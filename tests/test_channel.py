@@ -116,6 +116,15 @@ class TestChannelModel:
         with pytest.raises(ValueError, match="snr"):
             ChannelModel.from_config_dict({"input": "gaussian", "snr": snr})
 
+    @pytest.mark.parametrize("snr", [None, True, "1", "inf"])
+    def test_snr_must_be_a_real_number(self, snr):
+        # float() would read "1" and True as 1.0, and None would end in a
+        # TypeError that names no field.
+        with pytest.raises(ValueError, match="snr must be a real number"):
+            gaussian_channel(snr)
+        with pytest.raises(ValueError, match="snr must be a real number"):
+            ChannelModel.from_config_dict({"input": "gaussian", "snr": snr})
+
     def test_config_round_trip(self):
         model = binary_channel(3.0)
         assert ChannelModel.from_config_dict(model.to_config_dict()) == model

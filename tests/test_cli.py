@@ -12,9 +12,9 @@ import pytest
 from fisherinfo import (
     EstimatorConfig,
     SampleSet,
+    ScoreEnvelope,
     estimate,
     gaussian_channel,
-    lemma_clip_envelope,
     mmse_from_fisher,
     sample_channel,
 )
@@ -23,6 +23,7 @@ from fisherinfo.bounds import (
     bhattacharya_error_bound,
     clipped_error_bound,
     confidence_bound,
+    lemma2_tail,
 )
 from fisherinfo.cli import _print_json, main
 
@@ -213,7 +214,7 @@ class TestEnvelopeFlags:
         assert code == 0
         samples = SampleSet.from_file(sample_file[1])
         config = EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0, grid_points=101)
-        want = estimate(samples, config, lemma_clip_envelope(2.0 * 0.5))
+        want = estimate(samples, config, ScoreEnvelope.lemma1(2.0 * 0.5))
         assert json.loads(out)["value"] == want.value
 
     @pytest.mark.parametrize("source", ["file", "channel"])
@@ -539,6 +540,16 @@ class TestBounds:
         assert code == 0
         assert json.loads(out)["rho_max_kn"] == 6.0
 
+    def test_large_alpha_without_overflow(self, capsys):
+        # s_alpha2 = 1764 puts Lemma 2's Chernoff base past exp's range; the
+        # second-moment base is the smaller, and the only one searched.
+        code, out, err = run_cli(
+            capsys, "bounds", "--theorem", "2", "--kn", "3", "--eps0", "1e-6",
+            "--eps1", "1e-6", "--var", "1", "--ex2", "1", "--alpha", "42",
+        )
+        assert (code, err) == (0, "")
+        assert json.loads(out)["c_kn"] == lemma2_tail(3.0, 1.0)
+
     def test_error_bound_reports_envelopes(self, capsys):
         code, out, _ = run_cli(
             capsys, "bounds", "--theorem", "2", "--eps0", "1e-6",
@@ -612,6 +623,24 @@ class TestComplexity:
         assert code == 2
         assert "smallest precision bound on the search grid is" in err
 
+    def test_missing_snr_usage_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "complexity", "--eps", "0.5", "--perr", "0.2",
+            "--estimator", "clipped", "--channel", "gaussian",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: snr must be a real number, got None\n"
+
+    def test_high_snr_infeasible_without_overflow(self, capsys):
+        # At snr 2000 Lemma 2's Chernoff base passes exp's range; warnings
+        # fail this suite, so an overflow would surface here.
+        code, out, err = run_cli(
+            capsys, "complexity", "--eps", "0.5", "--perr", "0.2",
+            "--estimator", "clipped", "--channel", "gaussian", "--snr", "2000",
+        )
+        assert (code, out) == (2, "")
+        assert re.search(r"smallest precision bound on the search grid is \d", err)
+
 
 class TestExperiment:
     def test_runs_config_and_writes_artifacts(self, capsys, tmp_path):
@@ -657,6 +686,32 @@ class TestExperiment:
         assert code == 1 and out == ""
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"channel": {"input": "gaussian", "snr": None}}, "snr must be a real"),
+            ({"channel": {"input": "gaussian", "snr": True}}, "snr must be a real"),
+            ({"channel": {"input": "gaussian", "snr": "1"}}, "snr must be a real"),
+            ({"channel": 5}, "channel must be a JSON object"),
+            ({"estimator_config": {"a0": "0.3", "a1": 0.3, "k_n": 5}},
+             "a0 must be a real"),
+            ({"estimator_config": {"a0": None, "a1": 0.3, "k_n": 5}},
+             "a0 must be a real"),
+            ({"estimator_config": [1, 2]}, "estimator_config must be a JSON object"),
+            ({"kind": "snr_sweep", "snr_grid": [1.0, 0.0]},
+             "snr_grid entries must be positive"),
+        ],
+    )
+    def test_wrong_json_type_usage_error(self, capsys, tmp_path, change, message):
+        config = {"kind": "histogram", "channel": {"input": "gaussian", "snr": 1.0},
+                  "n_list": [200], "output_path": str(tmp_path / "x"), **change}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
 
     def test_bad_config_usage_error(self, capsys, tmp_path):

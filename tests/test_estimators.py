@@ -12,14 +12,13 @@ from fisherinfo import (
     EstimatorConfig,
     EstimatorKind,
     SampleSet,
-    constant_clip_envelope,
+    ScoreEnvelope,
     default_bandwidth,
     default_truncation,
     estimate,
     gaussian_channel,
     integrate,
     kde_profile,
-    lemma_clip_envelope,
     mmse_from_fisher,
     sample_channel,
 )
@@ -70,6 +69,14 @@ class TestConfigValidation:
             EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0, grid_points=grid_points)
         config = EstimatorConfig(a0=0.3, a1=0.3, k_n=5.0, grid_points=np.int64(101))
         assert config.grid_points == 101
+
+    @pytest.mark.parametrize("name", ["a0", "a1", "k_n"])
+    @pytest.mark.parametrize("value", ["0.3", None, True])
+    def test_parameters_must_be_real_numbers(self, name, value):
+        # A JSON string, null or bool is refused by name, not read as 0.3 or 1.
+        kwargs = {"a0": 0.3, "a1": 0.3, "k_n": 5.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            EstimatorConfig(**kwargs)
 
     def test_defaults(self):
         assert default_bandwidth(10_000) == pytest.approx(10_000 ** (-1 / 6))
@@ -136,28 +143,28 @@ class TestClipped:
     def test_huge_constant_envelope_matches_plugin(self):
         s = SampleSet([-0.5, 0.2, 1.0])
         config = EstimatorConfig(a0=0.8, a1=0.8, k_n=6.0)
-        loose = constant_clip_envelope(1e12)
+        loose = ScoreEnvelope(1e12)
         assert estimate(s, config, loose).value == pytest.approx(
             estimate(s, config).value, abs=1e-9
         )
 
     def test_zero_envelope_gives_zero(self):
         config = EstimatorConfig(a0=0.5, a1=0.5, k_n=5.0)
-        result = estimate(SampleSet([0.0, 1.0]), config, constant_clip_envelope(0.0))
+        result = estimate(SampleSet([0.0, 1.0]), config, ScoreEnvelope(0.0))
         assert result.value == 0.0
         assert result.clip_active_fraction > 0.9
 
     def test_lemma_envelope_matches_plugin_on_channel_data(self):
         s = sample_channel(gaussian_channel(1.0), 10_000, seed=3)
         base = EstimatorConfig(a0=0.3, a1=0.3, k_n=10.0)
-        assert estimate(s, base, lemma_clip_envelope(1.0)).value == pytest.approx(
+        assert estimate(s, base, ScoreEnvelope.lemma1(1.0)).value == pytest.approx(
             estimate(s, base).value, abs=1e-6
         )
 
     def test_clip_dominance(self):
         # clipped <= integral of |rho_bar| * |f_n'| on the same grid.
         s = SampleSet([-1.0, 0.0, 2.0])
-        env = lemma_clip_envelope(1.0)
+        env = ScoreEnvelope.lemma1(1.0)
         config = EstimatorConfig(a0=0.4, a1=0.4, k_n=6.0)
         value = estimate(s, config, env).value
         upper = integrate(
@@ -171,27 +178,38 @@ class TestClipped:
         # estimators integrate identical values.
         s = SampleSet([0.0, 0.5])
         base = EstimatorConfig(a0=1.0, a1=1.0, k_n=3.0)
-        result = estimate(s, base, constant_clip_envelope(100.0))
+        result = estimate(s, base, ScoreEnvelope(100.0))
         assert result.clip_active_fraction == 0.0
         assert result.value == estimate(s, base).value
-
-    def test_non_finite_envelope_rejected(self):
-        config = EstimatorConfig(a0=0.5, a1=0.5, k_n=5.0)
-        with pytest.raises(ValueError, match="finite"):
-            estimate(SampleSet([0.0]), config,
-                     lambda t: np.full_like(np.asarray(t, float), np.inf))
 
     @pytest.mark.parametrize("s_var", [-1.0, math.inf, math.nan])
     def test_lemma_envelope_needs_finite_signal_variance(self, s_var):
         with pytest.raises(ValueError, match="snr Var X must be finite"):
-            lemma_clip_envelope(s_var)
+            ScoreEnvelope.lemma1(s_var)
 
     @settings(max_examples=25, deadline=None)
     @given(finite_samples, st.floats(min_value=0.3, max_value=2))
     def test_nonnegative(self, values, a):
         config = EstimatorConfig(a0=a, a1=a, k_n=5.0)
-        env = lemma_clip_envelope(1.0)
+        env = ScoreEnvelope.lemma1(1.0)
         assert estimate(SampleSet(values), config, env).value >= 0.0
+
+
+class TestScoreEnvelope:
+    @pytest.mark.parametrize("name", ["level", "slope"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, -1e-300])
+    def test_rejects_negative_or_non_finite_level_or_slope(self, name, value):
+        # A cap that is not a finite nonnegative number never reaches estimate.
+        kwargs = {"level": 1.0, "slope": 1.0, name: value}
+        with pytest.raises(ValueError, match=rf"envelope {name} must be in \[0, inf\)"):
+            ScoreEnvelope(**kwargs)
+
+    def test_lemma1_is_a_line(self):
+        env = ScoreEnvelope.lemma1(4.0)
+        assert env == ScoreEnvelope(math.sqrt(12.0), 3.0)
+        assert np.array_equal(env(np.array([-2.0, 0.0, 1.0])),
+                              math.sqrt(12.0) + 3.0 * np.array([2.0, 0.0, 1.0]))
+        assert ScoreEnvelope(2.5)(np.array([-7.0, 3.0])).tolist() == [2.5, 2.5]
 
 
 class TestMmse:
@@ -230,7 +248,7 @@ class TestDispatch:
         assert [k.value for k in EstimatorKind] == ["bhattacharya", "clipped"]
         s = sample_channel(gaussian_channel(1.0), 500, seed=9)
         config = EstimatorConfig(a0=0.3, a1=0.3, k_n=8.0)
-        env = lemma_clip_envelope(1.0)
+        env = ScoreEnvelope.lemma1(1.0)
         assert estimate(s, config).estimator is EstimatorKind.BHATTACHARYA
         assert estimate(s, config, env).estimator is EstimatorKind.CLIPPED
 
@@ -272,9 +290,9 @@ class TestScaling:
         pairs = [
             (estimate(s, base), estimate(SampleSet(c * s.values), scaled)),
             (
-                estimate(s, base, constant_clip_envelope(level)),
+                estimate(s, base, ScoreEnvelope(level)),
                 estimate(SampleSet(c * s.values), scaled,
-                        constant_clip_envelope(level / c)),
+                        ScoreEnvelope(level / c)),
             ),
         ]
         for before, after in pairs:

@@ -100,6 +100,26 @@ class TestConfig:
         with pytest.raises(ValueError, match="snr must be finite and nonnegative"):
             _config(kind=ExperimentKind.SNR_SWEEP, snr_grid=(1.0, bad))
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0, 0])
+    def test_zero_snr_grid_entry_rejected_before_any_work(self, zero, monkeypatch):
+        # The sweep's MMSE columns divide by snr: a 0 fails at construction,
+        # not after the earlier points are sampled and estimated.
+        monkeypatch.setattr(experiments, "sample_channel", None)
+        with pytest.raises(ValueError, match="snr_grid entries must be positive"):
+            _config(kind=ExperimentKind.SNR_SWEEP, snr_grid=(1.0, zero))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("channel", 5), ("channel", None), ("estimator_config", [1, 2]),
+         ("estimator_config", "a0=0.3")],
+    )
+    def test_object_fields_must_be_json_objects(self, key, value):
+        with pytest.raises(ValueError, match=f"{key} must be a JSON object"):
+            ExperimentConfig.from_dict(
+                {"kind": "histogram", "channel": {"input": "gaussian", "snr": 1},
+                 key: value}
+            )
+
     def test_estimator_config_grid_points_from_json_rejected(self):
         with pytest.raises(ValueError, match="grid_points must be an integer"):
             ExperimentConfig.from_dict(
